@@ -41,8 +41,8 @@ pub const WRITES_AFTER_COMMIT: u64 = 2;
 
 /// Device-byte accounting for the journal's write amplification: how
 /// many bytes the filesystem wrote to the device, split by purpose,
-/// against how many bytes the application asked it to write. The ~390%
-/// replay overhead the `ufs` study reports decomposes exactly into
+/// against how many bytes the application asked it to write. The write
+/// side of the `ufs` study's replay overhead decomposes exactly into
 /// these counters (`docs/PROFILING.md`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WriteAmp {
@@ -138,9 +138,7 @@ pub struct Ufs<D: BlockDevice> {
     staged: BTreeMap<u32, Vec<u8>>,
     next_tid: u64,
     next_seq: u64,
-    /// Captured device requests (sector I/O merged into extents), when on.
-    log: Vec<HostRequest>,
-    logging: bool,
+    log: RequestLog,
     /// Always-on write-amplification accounting (plain integer adds).
     wa: WriteAmp,
 }
@@ -161,18 +159,7 @@ impl<D: BlockDevice> Ufs<D> {
             journal_sectors: u64::from(params.journal_sectors),
             data_start: 1 + u64::from(params.max_files) + u64::from(params.journal_sectors),
         };
-        let mut fs = Ufs {
-            dev,
-            sb,
-            table: vec![None; usize_from_u32(params.max_files)],
-            alloc: ExtentAllocator::new(sb.data_start, total - sb.data_start),
-            staged: BTreeMap::new(),
-            next_tid: 1,
-            next_seq: 1,
-            log: Vec::new(),
-            logging: false,
-            wa: WriteAmp::default(),
-        };
+        let mut fs = Ufs::with_geometry(dev, sb);
         fs.wa.apply_bytes += u64_from_usize(SECTOR_USIZE);
         fs.write_meta(0, &sb.encode())?;
         Ok(fs)
@@ -182,39 +169,21 @@ impl<D: BlockDevice> Ufs<D> {
     /// returned report says what recovery found; it is deterministic for
     /// a given device image.
     pub fn mount(dev: D) -> Result<(Ufs<D>, RecoveryReport), SimError> {
-        let mut fs = Ufs {
-            dev,
-            sb: Superblock {
-                total_sectors: 0,
-                table_start: 1,
-                table_sectors: 0,
-                journal_start: 0,
-                journal_sectors: 0,
-                data_start: 0,
-            },
-            table: Vec::new(),
-            alloc: ExtentAllocator::new(0, 0),
-            staged: BTreeMap::new(),
-            next_tid: 1,
-            next_seq: 1,
-            log: Vec::new(),
-            logging: false,
-            wa: WriteAmp::default(),
-        };
         let mut buf = vec![0u8; SECTOR_USIZE];
-        fs.dev.read_sector(0, &mut buf)?;
-        fs.sb = Superblock::decode(&buf)?;
-        if fs.sb.total_sectors != fs.dev.sectors() {
+        dev.read_sector(0, &mut buf)?;
+        let sb = Superblock::decode(&buf)?;
+        if sb.total_sectors != dev.sectors() {
             return Err(SimError::corruption(
                 "superblock",
                 0,
                 format!(
                     "superblock says {} sectors, device has {}",
-                    fs.sb.total_sectors,
-                    fs.dev.sectors()
+                    sb.total_sectors,
+                    dev.sectors()
                 ),
             ));
         }
+        let mut fs = Ufs::with_geometry(dev, sb);
 
         // 1. Scan the journal ring for valid records.
         let mut records = Vec::new();
@@ -254,8 +223,6 @@ impl<D: BlockDevice> Ufs<D> {
         };
 
         // 3. Read the (now consistent) file table and rebuild free space.
-        fs.table = Vec::with_capacity(usize_from(fs.sb.table_sectors));
-        fs.alloc = ExtentAllocator::new(fs.sb.data_start, fs.sb.total_sectors - fs.sb.data_start);
         for i in 0..fs.sb.table_sectors {
             let lba = fs.sb.table_start + i;
             fs.dev.read_sector(lba, &mut buf)?;
@@ -272,7 +239,7 @@ impl<D: BlockDevice> Ufs<D> {
                     fs.alloc.claim(*ext)?;
                 }
             }
-            fs.table.push(entry);
+            fs.table[usize_from(i)] = entry;
         }
 
         let report = RecoveryReport {
@@ -286,39 +253,30 @@ impl<D: BlockDevice> Ufs<D> {
         Ok((fs, report))
     }
 
-    /// [`Ufs::mount`] with the recovery outcome reported through a
-    /// tracer: a `Layer::Ufs` instant with replayed/discarded counts.
-    pub fn mount_observed(
-        dev: D,
-        obs: &mut simobs::Tracer,
-    ) -> Result<(Ufs<D>, RecoveryReport), SimError> {
-        let (fs, report) = Ufs::mount(dev)?;
-        if obs.enabled() {
-            obs.instant(
-                simobs::Layer::Ufs,
-                "mount_recovery",
-                0,
-                [
-                    ("replayed", u64_from_usize(report.replayed_tids.len())),
-                    ("discarded", u64_from_usize(report.discarded_tids.len())),
-                ],
-            );
-            obs.count(
-                "ufs.recovery_replayed",
-                u64_from_usize(report.replayed_tids.len()),
-            );
+    /// An empty in-memory view (vacant table, all data free) of the
+    /// filesystem with geometry `sb` on `dev`.
+    fn with_geometry(dev: D, sb: Superblock) -> Ufs<D> {
+        Ufs {
+            dev,
+            sb,
+            table: vec![None; usize_from(sb.table_sectors)],
+            alloc: ExtentAllocator::new(sb.data_start, sb.total_sectors - sb.data_start),
+            staged: BTreeMap::new(),
+            next_tid: 1,
+            next_seq: 1,
+            log: RequestLog::default(),
+            wa: WriteAmp::default(),
         }
-        Ok((fs, report))
     }
 
     /// Starts capturing the device requests the filesystem issues.
     pub fn enable_request_log(&mut self) {
-        self.logging = true;
+        self.log.on = true;
     }
 
     /// Drains the captured request log.
     pub fn take_request_log(&mut self) -> Vec<HostRequest> {
-        std::mem::take(&mut self.log)
+        std::mem::take(&mut self.log.reqs)
     }
 
     /// Consumes the filesystem, returning the device (e.g. to inspect the
@@ -402,15 +360,21 @@ impl<D: BlockDevice> Ufs<D> {
         if let Some(buf) = self.staged.get(&id.0) {
             return Ok(u64_from_usize(buf.len()));
         }
-        Ok(self.entry(id)?.size)
+        Ok(entry(&self.table, id)?.size)
     }
 
     /// Writes `data` at byte `offset`, extending the file as needed. The
     /// write is staged in memory until [`Ufs::fsync`].
     pub fn write(&mut self, id: FileId, offset: u64, data: &[u8]) -> Result<(), SimError> {
-        self.entry(id)?;
+        let size = usize_from(entry(&self.table, id)?.size);
+        let end = usize_from(offset) + data.len();
         if !self.staged.contains_key(&id.0) {
-            let content = self.read_all_durable(id)?;
+            // Hot-path audit (`hotpath_alloc`, allowlisted): whole-file COW
+            // stages the file once per commit, with room for this write so
+            // an append does not reallocate and copy it.
+            let mut content = Vec::with_capacity(size.max(end));
+            content.resize(size, 0);
+            self.read_durable(id, 0, &mut content)?;
             self.staged.insert(id.0, content);
         }
         self.wa.user_bytes += u64_from_usize(data.len());
@@ -421,7 +385,6 @@ impl<D: BlockDevice> Ufs<D> {
             buf.extend_from_slice(data);
             return Ok(());
         }
-        let end = usize_from(offset) + data.len();
         if buf.len() < end {
             buf.resize(end, 0);
         }
@@ -432,30 +395,14 @@ impl<D: BlockDevice> Ufs<D> {
     /// Reads `out.len()` bytes at byte `offset`. Staged writes are
     /// visible (read-your-writes); reading past EOF is an error.
     pub fn read(&mut self, id: FileId, offset: u64, out: &mut [u8]) -> Result<(), SimError> {
+        let Some(buf) = self.staged.get(&id.0) else {
+            return self.read_durable(id, offset, out);
+        };
         let end = offset + u64_from_usize(out.len());
-        if let Some(buf) = self.staged.get(&id.0) {
-            if end > u64_from_usize(buf.len()) {
-                return Err(read_past_eof(end, u64_from_usize(buf.len())));
-            }
-            out.copy_from_slice(&buf[usize_from(offset)..usize_from(end)]);
-            return Ok(());
+        if end > u64_from_usize(buf.len()) {
+            return Err(read_past_eof(end, u64_from_usize(buf.len())));
         }
-        // Hot-path audit (`hotpath_alloc`, allowlisted): metadata-small
-        // clone (name + <=8 extents) releasing the table borrow before
-        // the mutable device read below.
-        let entry = self.entry(id)?.clone();
-        if end > entry.size {
-            return Err(read_past_eof(end, entry.size));
-        }
-        if offset == 0 && end == entry.size {
-            // Whole-file window (the out-of-core replay's common case):
-            // fill `out` straight from the device, skipping the
-            // content-sized bounce buffer. The logged request stream is
-            // identical — every extent sector is still read in order.
-            return self.read_extents_into(&entry, out);
-        }
-        let content = self.read_extents(&entry)?;
-        out.copy_from_slice(&content[usize_from(offset)..usize_from(end)]);
+        out.copy_from_slice(&buf[usize_from(offset)..usize_from(end)]);
         Ok(())
     }
 
@@ -484,7 +431,7 @@ impl<D: BlockDevice> Ufs<D> {
         // clones in this function (old entry, its name, the journal copy
         // of the new entry) are metadata-small — a <=64-byte name and
         // <=8 extents — while the content itself moves without copying.
-        let old_entry = self.entry(id)?.clone();
+        let old_entry = entry(&self.table, id)?.clone();
         let sectors = u64_from_usize(content.len()).div_ceil(u64_from_usize(SECTOR_USIZE));
 
         // Phase 1: copy-on-write data into fresh extents. A transaction
@@ -569,57 +516,44 @@ impl<D: BlockDevice> Ufs<D> {
             .map(|slot| FileId(u32_from(u64_from_usize(slot))))
     }
 
-    fn entry(&self, id: FileId) -> Result<&FileEntry, SimError> {
-        self.table
-            .get(usize_from_u32(id.0))
-            .and_then(|e| e.as_ref())
-            .ok_or_else(|| {
-                SimError::invalid_config("ufs.file", format!("no file in slot {}", id.0))
-            })
-    }
-
-    /// Durable (on-device) content of the file, ignoring staged state.
-    fn read_all_durable(&mut self, id: FileId) -> Result<Vec<u8>, SimError> {
-        // Hot-path audit (`hotpath_alloc`, allowlisted): metadata-small
-        // clone releasing the table borrow for the device reads.
-        let entry = self.entry(id)?.clone();
-        self.read_extents(&entry)
-    }
-
-    fn read_extents(&mut self, entry: &FileEntry) -> Result<Vec<u8>, SimError> {
-        // Hot-path audit (`hotpath_alloc`, allowlisted): one
-        // content-sized buffer filled sector by sector in place — the
-        // owned return is the API (the caller keeps or stages it); the
-        // per-sector images are not materialised separately.
-        let mut content = vec![0u8; usize_from(entry.size)];
-        self.read_extents_into(entry, &mut content)?;
-        Ok(content)
-    }
-
-    /// Reads every sector of every extent, in order, into `out`
-    /// (`out.len()` must equal the entry's byte size). Tail sectors past
-    /// the file size are still read whole — the logged request stream is
-    /// exactly [`Ufs::read_extents`]'s — but only the in-bounds prefix
-    /// lands in `out`.
-    fn read_extents_into(&mut self, entry: &FileEntry, out: &mut [u8]) -> Result<(), SimError> {
-        let mut at = 0usize;
+    /// The one device read path: bytes `[offset, offset + out.len())` of
+    /// the file's durable content, mapped through its extents. Only the
+    /// sectors covering the range are read and logged (contiguous ones
+    /// merge into one request in the log). Whole sectors land straight
+    /// in `out`; the unaligned head and tail go through one stack image.
+    fn read_durable(&mut self, id: FileId, offset: u64, out: &mut [u8]) -> Result<(), SimError> {
+        let file = entry(&self.table, id)?;
+        let end = offset + u64_from_usize(out.len());
+        if end > file.size {
+            return Err(read_past_eof(end, file.size));
+        }
+        let sector = u64_from_usize(SECTOR_USIZE);
         let mut image = [0u8; SECTOR_USIZE];
-        for ext in &entry.extents {
-            for s in 0..ext.len {
-                let take = SECTOR_USIZE.min(out.len() - at);
-                if take == SECTOR_USIZE {
-                    self.dev
-                        .read_sector(ext.start + s, &mut out[at..at + SECTOR_USIZE])?;
-                } else {
-                    self.dev.read_sector(ext.start + s, &mut image)?;
-                    out[at..at + take].copy_from_slice(&image[..take]);
+        let mut at = 0usize;
+        // File-relative index of the current extent's first sector.
+        let mut first = 0u64;
+        for ext in &file.extents {
+            let next = (offset + u64_from_usize(at)) / sector;
+            for lba in ext.start + next.saturating_sub(first)..ext.end() {
+                if at == out.len() {
+                    return Ok(());
                 }
-                self.log_io(HostRequest::read(
-                    sector_offset(ext.start + s),
-                    u64_from_usize(SECTOR_USIZE),
-                ));
+                let skip = usize_from((offset + u64_from_usize(at)) % sector);
+                let take = (SECTOR_USIZE - skip).min(out.len() - at);
+                if take == SECTOR_USIZE {
+                    self.dev.read_sector(lba, &mut out[at..at + take])?;
+                } else {
+                    self.dev.read_sector(lba, &mut image)?;
+                    out[at..at + take].copy_from_slice(&image[skip..skip + take]);
+                }
+                self.log.push(HostRequest::read(sector_offset(lba), sector));
                 at += take;
             }
+            first += ext.len;
+        }
+        if at < out.len() {
+            let lba = self.sb.table_start + u64::from(id.0);
+            return Err(SimError::corruption("file entry", lba, "extents too short"));
         }
         Ok(())
     }
@@ -640,7 +574,7 @@ impl<D: BlockDevice> Ufs<D> {
     /// superblock all carry the sync barrier at the device.
     fn write_meta(&mut self, lba: u64, image: &[u8]) -> Result<(), SimError> {
         self.dev.write_sector(lba, image)?;
-        self.log_io(
+        self.log.push(
             HostRequest::write(sector_offset(lba), u64_from_usize(SECTOR_USIZE)).synchronous(),
         );
         Ok(())
@@ -650,32 +584,48 @@ impl<D: BlockDevice> Ufs<D> {
     fn write_data(&mut self, lba: u64, image: &[u8]) -> Result<(), SimError> {
         self.wa.cow_bytes += u64_from_usize(SECTOR_USIZE);
         self.dev.write_sector(lba, image)?;
-        self.log_io(HostRequest::write(
+        self.log.push(HostRequest::write(
             sector_offset(lba),
             u64_from_usize(SECTOR_USIZE),
         ));
         Ok(())
     }
+}
 
+fn entry(table: &[Option<FileEntry>], id: FileId) -> Result<&FileEntry, SimError> {
+    table
+        .get(usize_from_u32(id.0))
+        .and_then(|e| e.as_ref())
+        .ok_or_else(|| SimError::invalid_config("ufs.file", format!("no file in slot {}", id.0)))
+}
+
+/// Captured device requests (sector I/O merged into extents), when on.
+#[derive(Debug, Default)]
+struct RequestLog {
+    on: bool,
+    reqs: Vec<HostRequest>,
+}
+
+impl RequestLog {
     /// Records one sector request, merging physically contiguous
     /// asynchronous requests of the same kind — sequential extents
     /// surface as the large requests the paper's UFS is built to
     /// preserve. Sync requests never merge: each metadata write is its
     /// own ordering barrier (journal records are contiguous in the ring
     /// but must reach the device as separate ordered writes).
-    fn log_io(&mut self, req: HostRequest) {
-        if !self.logging {
+    fn push(&mut self, req: HostRequest) {
+        if !self.on {
             return;
         }
         if !req.sync {
-            if let Some(last) = self.log.last_mut() {
+            if let Some(last) = self.reqs.last_mut() {
                 if !last.sync && last.op == req.op && last.end() == req.offset {
                     last.len += req.len;
                     return;
                 }
             }
         }
-        self.log.push(req);
+        self.reqs.push(req);
     }
 }
 
@@ -773,6 +723,11 @@ mod tests {
             fs.read(id, 0, &mut out),
             Err(SimError::InvalidConfig { .. })
         ));
+        // An entry whose extents end before its size is corrupt.
+        fs.table[0].as_mut().expect("entry").size = 2 * 4096;
+        let mut out = vec![0u8; 2 * 4096];
+        let err = fs.read(id, 0, &mut out);
+        assert!(matches!(err, Err(SimError::Corruption { .. })), "{err:?}");
     }
 
     #[test]
@@ -791,6 +746,68 @@ mod tests {
         // Journal (begin/update/commit), apply and checkpoint are sync.
         let syncs = log.iter().filter(|r| r.sync).count();
         assert_eq!(syncs, 5);
+    }
+
+    /// Reads `len` bytes at `offset` with the request log on, returning
+    /// the bytes and exactly the requests this read logged.
+    fn logged_read(
+        fs: &mut Ufs<SimBlockDevice>,
+        id: FileId,
+        offset: u64,
+        len: usize,
+    ) -> (Vec<u8>, Vec<HostRequest>) {
+        fs.enable_request_log();
+        fs.take_request_log();
+        let mut out = vec![0u8; len];
+        fs.read(id, offset, &mut out).expect("reads");
+        (out, fs.take_request_log())
+    }
+
+    #[test]
+    fn partial_reads_log_only_the_sectors_they_cover() {
+        let mut fs = fresh();
+        let id = fs.create("f").expect("creates");
+        let data = pattern(16 * SECTOR_USIZE, 5);
+        fs.write(id, 0, &data).expect("writes");
+        fs.fsync(id).expect("syncs");
+        let start = sector_offset(entry(&fs.table, id).expect("entry").extents[0].start);
+        // One sector of a 16-sector file: one 4 KiB read at its LBA.
+        let (out, log) = logged_read(&mut fs, id, 5 * 4096, 4096);
+        assert_eq!(out, data[5 * 4096..6 * 4096]);
+        assert_eq!(log, [HostRequest::read(start + 5 * 4096, 4096)]);
+        // Bytes 3000..9000 touch sectors 0-2: one merged 12 KiB read.
+        let (out, log) = logged_read(&mut fs, id, 3000, 6000);
+        assert_eq!(out, data[3000..9000]);
+        assert_eq!(log, [HostRequest::read(start, 3 * 4096)]);
+    }
+
+    #[test]
+    fn a_read_across_an_extent_boundary_logs_one_read_per_extent() {
+        // 8 data sectors. a, b take the first 4; rewriting a moves it past
+        // b and frees the first 2, so a 4-sector file splits in two.
+        let params = UfsParams {
+            max_files: 4,
+            journal_sectors: 8,
+        };
+        let mut fs = Ufs::format(SimBlockDevice::new(13 + 8), params).expect("formats");
+        for (name, salt) in [("a", 1), ("b", 2), ("a", 3)] {
+            let id = fs.open(name).or_else(|_| fs.create(name)).expect("file");
+            fs.write(id, 0, &pattern(2 * SECTOR_USIZE, salt))
+                .expect("w");
+            fs.fsync(id).expect("syncs");
+        }
+        let id = fs.create("f").expect("creates");
+        let data = pattern(4 * SECTOR_USIZE, 9);
+        fs.write(id, 0, &data).expect("writes");
+        fs.fsync(id).expect("syncs");
+        let ext = entry(&fs.table, id).expect("entry").extents.clone();
+        assert_eq!(ext.len(), 2, "fragmented");
+        let (out, log) = logged_read(&mut fs, id, 1000, 4 * SECTOR_USIZE - 2000);
+        assert_eq!(out, data[1000..4 * SECTOR_USIZE - 1000]);
+        let per_extent = ext
+            .iter()
+            .map(|e| HostRequest::read(sector_offset(e.start), 2 * 4096));
+        assert_eq!(log, per_extent.collect::<Vec<_>>());
     }
 
     #[test]

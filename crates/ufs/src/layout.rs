@@ -12,7 +12,7 @@
 //! All integers are little-endian. Vacant table sectors and never-used
 //! journal slots are all-zero.
 
-use nvmtypes::convert::{u32_from, u64_from_usize, usize_from, usize_from_u32};
+use nvmtypes::convert::{u32_from, u64_from_usize, usize_from_u32};
 use nvmtypes::SimError;
 use ssd::SECTOR_USIZE;
 
@@ -167,11 +167,6 @@ pub struct FileEntry {
 }
 
 impl FileEntry {
-    /// Sectors needed to hold [`FileEntry::size`] bytes.
-    pub fn sectors(&self) -> u64 {
-        self.size.div_ceil(u64_from_usize(SECTOR_USIZE))
-    }
-
     /// Encodes into a zero-padded sector image.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = vec![0u8; SECTOR_USIZE];
@@ -378,31 +373,6 @@ pub fn sector_offset(lba: u64) -> u64 {
     lba * u64_from_usize(SECTOR_USIZE)
 }
 
-/// Splits `content` into per-sector images, zero-padding the tail.
-pub fn content_sectors(content: &[u8]) -> Vec<Vec<u8>> {
-    content
-        .chunks(SECTOR_USIZE)
-        .map(|chunk| {
-            let mut buf = vec![0u8; SECTOR_USIZE];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            buf
-        })
-        .collect()
-}
-
-/// Recovers the leading `len` bytes of a file from its per-sector reads.
-pub fn content_from_sectors(sectors: &[Vec<u8>], len: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(usize_from(len));
-    for s in sectors {
-        let want = usize_from(len).saturating_sub(out.len());
-        if want == 0 {
-            break;
-        }
-        out.extend_from_slice(&s[..want.min(s.len())]);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,14 +485,5 @@ mod tests {
         }
         // The full record survives a "tear" that kept everything.
         assert_eq!(JournalRecord::decode(&new), Some(r));
-    }
-
-    #[test]
-    fn content_sector_round_trip() {
-        let content: Vec<u8> = (0u16..9000).map(|i| (i % 251) as u8).collect();
-        let sectors = content_sectors(&content);
-        assert_eq!(sectors.len(), 3);
-        let back = content_from_sectors(&sectors, u64_from_usize(content.len()));
-        assert_eq!(back, content);
     }
 }

@@ -23,8 +23,8 @@ use std::fmt::Write as _;
 /// when the trace next *reads* that file, and at end of trace — the
 /// laziest schedule that keeps read-your-writes through the device
 /// honest. Reads of never-written ranges materialise the file as zeros
-/// first (the preprocessing pass of an out-of-core run always writes
-/// before the solver reads, so this path is rare).
+/// first, with one zero-fill write and commit per file: the path every
+/// read-only trace (the synthetic out-of-core ones too) takes.
 #[derive(Debug, Clone, Copy)]
 pub struct JournaledUfs {
     /// Filesystem geometry used for the replay mount.
@@ -252,6 +252,26 @@ mod tests {
             .map(|r| r.len)
             .sum();
         assert_eq!(written + 4096, wa.device_bytes());
+    }
+
+    #[test]
+    fn partial_reads_cost_only_the_sectors_they_cover() {
+        // Write an 8 MiB file once, then sweep it four times in unaligned
+        // ~1 MiB records.
+        let mut posix = PosixTrace::new();
+        posix.push(rec(0, IoOp::Write, 0, 0, 8 << 20));
+        for i in 1..=32 {
+            let offset = 1000 + i % 8 * 1_000_000;
+            posix.push(rec(i, IoOp::Read, 0, offset, 1_000_000));
+        }
+        let block = JournaledUfs::default()
+            .try_transform(&posix)
+            .expect("replays");
+        let reads = block.requests.iter().filter(|r| r.op.is_read());
+        let device: u64 = reads.map(|r| r.len).sum();
+        let asked = 32 * 1_000_000;
+        // At most a partial head and tail sector per read record.
+        assert!(device <= asked + 32 * 2 * 4096, "{device} B for {asked}");
     }
 
     #[test]

@@ -23,8 +23,8 @@ use ufs::{crash_matrix, CrashMatrixParams, UfsParams};
 /// Schema tag of the UFS JSON document. Version 2 adds
 /// `replay.write_amp` — the journaled replay's device bytes decomposed
 /// into user / COW / journal / apply traffic (from
-/// [`ufs::WriteAmp`]), itemising exactly where the ~390% replay
-/// overhead goes. No v1 field was renamed or removed.
+/// [`ufs::WriteAmp`]), itemising exactly where the replay's written
+/// bytes go. No v1 field was renamed or removed.
 pub const SCHEMA: &str = "oocnvm.ufs/2";
 
 /// Appends one report line.

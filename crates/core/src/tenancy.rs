@@ -29,7 +29,7 @@
 //! (pinned by a test below and by `tests/determinism.rs`).
 
 use crate::config::SystemConfig;
-use crate::experiment::{report_from_run, ExperimentReport, ExperimentSpec};
+use crate::experiment::{report_from_run, transform_fs, ExperimentReport, ExperimentSpec};
 use crate::workload::{checkpoint_trace, kv_lookup_trace, synthetic_ooc_trace};
 use nvmtypes::{FaultPlan, FaultRng, Nanos, NvmKind};
 use ooctrace::PosixTrace;
@@ -325,15 +325,7 @@ impl<'t> TenancySpec<'t> {
             .zip(&arrivals)
             .map(|(t, &arrival_ns)| {
                 let posix = t.profile.posix_trace(t.seed);
-                let block = if self.journaled_ufs {
-                    oocfs::FileSystemModel::transform_observed(
-                        &ufs::JournaledUfs::default(),
-                        &posix,
-                        obs,
-                    )
-                } else {
-                    self.config.fs.transform_observed(&posix, obs)
-                };
+                let block = transform_fs(&self.config, self.journaled_ufs, &posix, obs);
                 let mut w = TenantWorkload::new(block);
                 w.weight = t.weight;
                 w.arrival_ns = arrival_ns;
@@ -470,16 +462,23 @@ mod tests {
     fn one_tenant_reproduces_the_single_job_report_byte_for_byte() {
         let cfg = SystemConfig::cnl_ufs();
         let trace = synthetic_ooc_trace(8 * MIB, MIB, 3);
-        let single = ExperimentSpec::new(&cfg, NvmKind::Tlc).run(&trace);
-        let tenancy = ExperimentSpec::new(&cfg, NvmKind::Tlc)
-            .tenants(vec![TenantSpec::new(eigensolve(8 * MIB)).seed(3)])
-            .run();
-        // `{:?}` renders every field of every layer (including the full
-        // HDR bucket array), so string equality is byte-identity.
-        assert_eq!(format!("{single:?}"), format!("{:?}", tenancy.fleet));
-        assert_eq!(tenancy.tenants.len(), 1);
-        assert_eq!(tenancy.tenants[0].requests, single.run.requests);
-        assert_eq!(tenancy.tenants[0].arrival_ns, 0);
+        // Both file-system paths: the configuration's model and the real
+        // journaled UFS.
+        for journaled in [false, true] {
+            let single = ExperimentSpec::new(&cfg, NvmKind::Tlc)
+                .journaled_ufs(journaled)
+                .run(&trace);
+            let tenancy = ExperimentSpec::new(&cfg, NvmKind::Tlc)
+                .journaled_ufs(journaled)
+                .tenants(vec![TenantSpec::new(eigensolve(8 * MIB)).seed(3)])
+                .run();
+            // `{:?}` renders every field of every layer (including the
+            // full HDR bucket array), so string equality is byte-identity.
+            assert_eq!(format!("{single:?}"), format!("{:?}", tenancy.fleet));
+            assert_eq!(tenancy.tenants.len(), 1);
+            assert_eq!(tenancy.tenants[0].requests, single.run.requests);
+            assert_eq!(tenancy.tenants[0].arrival_ns, 0);
+        }
     }
 
     #[test]

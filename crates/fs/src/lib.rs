@@ -55,18 +55,27 @@ pub trait FileSystemModel {
     /// finished trace only, so observing cannot change the transform.
     fn transform_observed(&self, posix: &PosixTrace, obs: &mut simobs::Tracer) -> BlockTrace {
         let block = self.transform(posix);
-        if obs.enabled() {
-            let requests = nvmtypes::u64_from_usize(block.len());
-            let syncs = nvmtypes::u64_from_usize(block.requests.iter().filter(|r| r.sync).count());
-            obs.instant(
-                simobs::Layer::Fs,
-                self.name(),
-                0,
-                [("requests", requests), ("sync", syncs)],
-            );
-            obs.count("fs.requests", requests);
-            obs.count("fs.sync_requests", syncs);
-        }
+        observe_transform(self.name(), &block, obs);
         block
+    }
+}
+
+/// Emits the [`simobs::Layer::Fs`] marker for a finished transform: one
+/// instant named `name` at logical time 0 carrying the request and sync
+/// counts of `block`, plus the `fs.requests` / `fs.sync_requests`
+/// counters. A no-op when `obs` is disabled. Every
+/// [`FileSystemModel::transform_observed`] emits its marker through here.
+pub fn observe_transform(name: &'static str, block: &BlockTrace, obs: &mut simobs::Tracer) {
+    if obs.enabled() {
+        let requests = nvmtypes::u64_from_usize(block.len());
+        let syncs = nvmtypes::u64_from_usize(block.requests.iter().filter(|r| r.sync).count());
+        obs.instant(
+            simobs::Layer::Fs,
+            name,
+            0,
+            [("requests", requests), ("sync", syncs)],
+        );
+        obs.count("fs.requests", requests);
+        obs.count("fs.sync_requests", syncs);
     }
 }

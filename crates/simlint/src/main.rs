@@ -10,19 +10,13 @@
 //! cargo run -p simlint -- --root DIR   # scan a different tree
 //! ```
 //!
-//! The JSON export (schema `oocnvm.simlint/3`; v2 added the
-//! `atomic_ordering`/`lock_order` concurrency passes, v3 the
-//! interprocedural `hotpath` pass and its per-crate allocation-site
-//! inventory) carries per-`(rule, path)` finding counts plus the
-//! allowlist total and a `hotpath` section; the baseline diff fails on
-//! any growth (new `(rule, path)` pairs, higher counts, a larger
-//! allowlist, or more hot-path allocation sites per crate) and treats
-//! shrinkage as an advisory to refresh the baseline. Counts, not line
-//! numbers, so unrelated edits don't churn the committed file.
-//! Baselines written by the v1/v2 schemas still parse: the rule set
-//! only grew, so an older document is a valid (if rule-poorer) count
-//! table, and a missing `hotpath` section just means the inventory
-//! ratchet starts from this scan.
+//! The JSON export (schema `oocnvm.simlint/3`) carries per-`(rule,
+//! path)` finding counts plus the allowlist total and a `hotpath`
+//! section; the baseline diff fails on any growth (new `(rule, path)`
+//! pairs, higher counts, a larger allowlist, or more hot-path
+//! allocation sites per crate) and treats shrinkage as an advisory to
+//! refresh the baseline. Counts, not line numbers, so unrelated edits
+//! don't churn the committed file.
 //!
 //! `--json --baseline F` composes: the export goes to stdout, the diff
 //! to stderr, and regressions still fail the exit code.
@@ -41,17 +35,6 @@ use std::process::ExitCode;
 
 /// Schema tag for the findings export.
 const SCHEMA: &str = "oocnvm.simlint/3";
-
-/// Prior schema tags, still accepted on the *read* side of the baseline
-/// diff: each bump only added rules (v2: `atomic_ordering`,
-/// `lock_order`; v3: `hotpath_alloc` + the `hotpath` inventory), so an
-/// older count table diffs cleanly — any finding under a new rule
-/// simply counts as growth from zero, and a missing `hotpath` section
-/// skips the inventory ratchet.
-const SCHEMA_V2: &str = "oocnvm.simlint/2";
-
-/// The original schema tag (pre-concurrency-pass), also accepted.
-const SCHEMA_V1: &str = "oocnvm.simlint/1";
 
 /// Workspace-relative path of the committed baseline.
 const BASELINE_PATH: &str = "results/simlint.baseline.json";
@@ -210,13 +193,8 @@ struct BaselineDiff {
 fn diff_baseline(text: &str, report: &Report, allow: &Allowlist) -> Result<BaselineDiff, String> {
     let doc = json::parse(text).map_err(|e| format!("malformed baseline: {e}"))?;
     match doc.get("format") {
-        Some(Json::Str(s)) if s == SCHEMA || s == SCHEMA_V2 || s == SCHEMA_V1 => {}
-        other => {
-            return Err(format!(
-                "baseline schema is {other:?}, expected {SCHEMA:?} (or the \
-                 readable predecessors {SCHEMA_V2:?} / {SCHEMA_V1:?})"
-            ))
-        }
+        Some(Json::Str(s)) if s == SCHEMA => {}
+        other => return Err(format!("baseline schema is {other:?}, expected {SCHEMA:?}")),
     }
     let mut base: BTreeMap<(String, String), u64> = BTreeMap::new();
     if let Some(Json::Arr(items)) = doc.get("counts") {
@@ -271,55 +249,54 @@ fn diff_baseline(text: &str, report: &Report, allow: &Allowlist) -> Result<Basel
             "simlint.allow down to {now_allow} from {base_allow} — refresh with --write-baseline"
         ));
     }
-    // Hot-path inventory ratchet (v3 baselines only: v1/v2 documents
-    // have no `hotpath` section, so the inventory ratchet starts from
-    // the first v3 baseline; per-event *findings* still ratchet from
-    // zero through the count table above).
-    if let Some(hp) = doc.get("hotpath") {
-        let mut base_inv: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        if let Some(Json::Arr(items)) = hp.get("crates") {
-            for item in items {
-                let (Some(Json::Str(krate)), Some(Json::Num(pe)), Some(Json::Num(pr))) = (
-                    item.get("crate"),
-                    item.get("per_event"),
-                    item.get("per_run"),
-                ) else {
-                    return Err("baseline hotpath entry missing crate/per_event/per_run".into());
-                };
-                let pe: u64 = pe
-                    .parse()
-                    .map_err(|_| format!("non-integer per_event {pe:?} in baseline"))?;
-                let pr: u64 = pr
-                    .parse()
-                    .map_err(|_| format!("non-integer per_run {pr:?} in baseline"))?;
-                base_inv.insert(krate.clone(), (pe, pr));
-            }
+    // Hot-path inventory ratchet: per-crate per-event / per-run
+    // allocation-site counts.
+    let Some(hp) = doc.get("hotpath") else {
+        return Err("baseline is missing the hotpath section".to_string());
+    };
+    let mut base_inv: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    if let Some(Json::Arr(items)) = hp.get("crates") {
+        for item in items {
+            let (Some(Json::Str(krate)), Some(Json::Num(pe)), Some(Json::Num(pr))) = (
+                item.get("crate"),
+                item.get("per_event"),
+                item.get("per_run"),
+            ) else {
+                return Err("baseline hotpath entry missing crate/per_event/per_run".into());
+            };
+            let pe: u64 = pe
+                .parse()
+                .map_err(|_| format!("non-integer per_event {pe:?} in baseline"))?;
+            let pr: u64 = pr
+                .parse()
+                .map_err(|_| format!("non-integer per_run {pr:?} in baseline"))?;
+            base_inv.insert(krate.clone(), (pe, pr));
         }
-        let mut now_inv: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        for site in &report.hot_sites {
-            let entry = now_inv.entry(site.krate.clone()).or_insert((0, 0));
-            match site.severity {
-                Severity::PerEvent => entry.0 += 1,
-                Severity::PerRun => entry.1 += 1,
-            }
+    }
+    let mut now_inv: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    for site in &report.hot_sites {
+        let entry = now_inv.entry(site.krate.clone()).or_insert((0, 0));
+        match site.severity {
+            Severity::PerEvent => entry.0 += 1,
+            Severity::PerRun => entry.1 += 1,
         }
-        let crates: std::collections::BTreeSet<&String> =
-            base_inv.keys().chain(now_inv.keys()).collect();
-        for krate in crates {
-            let (base_pe, base_pr) = base_inv.get(krate).copied().unwrap_or((0, 0));
-            let (now_pe, now_pr) = now_inv.get(krate).copied().unwrap_or((0, 0));
-            if now_pe > base_pe || now_pr > base_pr {
-                diff.regressions.push(format!(
-                    "crate `{krate}`: hot-path allocation inventory grew to \
-                     {now_pe} per-event / {now_pr} per-run site(s), baseline has \
-                     {base_pe} / {base_pr} — hoist the buffer (docs/STATIC_ANALYSIS.md)"
-                ));
-            } else if now_pe < base_pe || now_pr < base_pr {
-                diff.improvements.push(format!(
-                    "crate `{krate}`: hot-path inventory down to {now_pe} per-event / \
-                     {now_pr} per-run from {base_pe} / {base_pr} — refresh with --write-baseline"
-                ));
-            }
+    }
+    let crates: std::collections::BTreeSet<&String> =
+        base_inv.keys().chain(now_inv.keys()).collect();
+    for krate in crates {
+        let (base_pe, base_pr) = base_inv.get(krate).copied().unwrap_or((0, 0));
+        let (now_pe, now_pr) = now_inv.get(krate).copied().unwrap_or((0, 0));
+        if now_pe > base_pe || now_pr > base_pr {
+            diff.regressions.push(format!(
+                "crate `{krate}`: hot-path allocation inventory grew to \
+                 {now_pe} per-event / {now_pr} per-run site(s), baseline has \
+                 {base_pe} / {base_pr} — hoist the buffer (docs/STATIC_ANALYSIS.md)"
+            ));
+        } else if now_pe < base_pe || now_pr < base_pr {
+            diff.improvements.push(format!(
+                "crate `{krate}`: hot-path inventory down to {now_pe} per-event / \
+                 {now_pr} per-run from {base_pe} / {base_pr} — refresh with --write-baseline"
+            ));
         }
     }
     Ok(diff)
@@ -503,70 +480,6 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// A v1-schema baseline (the pre-concurrency-pass format) must
-    /// still parse and diff: the committed history contains such
-    /// documents, and a schema bump must not strand them.
-    #[test]
-    fn v1_baselines_still_diff() {
-        let v1 = concat!(
-            "{\"format\":\"oocnvm.simlint/1\",\"files_scanned\":107,",
-            "\"allow_total\":2,\"counts\":[{\"rule\":\"bare_cast\",",
-            "\"path\":\"crates/nvmtypes/src/convert.rs\",\"count\":2}],",
-            "\"findings\":[]}"
-        );
-        let mut report = Report::default();
-        report
-            .counts
-            .insert((Rule::BareCast, "crates/nvmtypes/src/convert.rs".into()), 2);
-        let allow = Allowlist::parse("bare_cast crates/nvmtypes/src/convert.rs 2\n")
-            .expect("allowlist parses");
-        let diff = diff_baseline(v1, &report, &allow).expect("v1 baseline parses");
-        assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
-        assert!(diff.improvements.is_empty(), "{:?}", diff.improvements);
-        // Growth against a v1 baseline is still a regression — findings
-        // under the new rules count from zero.
-        report
-            .counts
-            .insert((Rule::LockOrder, "crates/ssd/src/ftl.rs".into()), 1);
-        let diff = diff_baseline(v1, &report, &allow).expect("v1 baseline parses");
-        assert_eq!(diff.regressions.len(), 1, "{:?}", diff.regressions);
-        assert!(diff.regressions[0].contains("lock_order"));
-    }
-
-    /// A v2-schema baseline (pre-hotpath) must still parse and diff
-    /// after the `/3` bump, mirroring the v1 guarantee: the count table
-    /// diffs as usual and the absent `hotpath` section just skips the
-    /// inventory ratchet.
-    #[test]
-    fn v2_baselines_still_diff() {
-        let v2 = concat!(
-            "{\"format\":\"oocnvm.simlint/2\",\"files_scanned\":120,",
-            "\"allow_total\":0,\"counts\":[],\"findings\":[]}"
-        );
-        let mut report = Report::default();
-        report.hot_sites.push(simlint::hotpath::Site {
-            path: "crates/ssd/src/mapping.rs".into(),
-            krate: "ssd".into(),
-            fn_path: "ssd::mapping::StripeMap::decompose".into(),
-            line: 136,
-            col: 9,
-            kind: "Vec::new",
-            severity: Severity::PerRun,
-        });
-        let diff = diff_baseline(v2, &report, &Allowlist::default()).expect("v2 baseline parses");
-        // No `hotpath` section in a v2 document: the inventory is not
-        // ratcheted, so present-day sites are neither growth nor shrink.
-        assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
-        assert!(diff.improvements.is_empty(), "{:?}", diff.improvements);
-        // The per-(rule, path) count ratchet still applies.
-        report
-            .counts
-            .insert((Rule::HotPathAlloc, "crates/ssd/src/mapping.rs".into()), 1);
-        let diff = diff_baseline(v2, &report, &Allowlist::default()).expect("v2 baseline parses");
-        assert_eq!(diff.regressions.len(), 1, "{:?}", diff.regressions);
-        assert!(diff.regressions[0].contains("hotpath_alloc"));
-    }
-
     /// The v3 per-crate hot-path inventory ratchets: growth in either
     /// the per-event or per-run site count of any crate is a
     /// regression, shrinkage an improvement.
@@ -604,14 +517,17 @@ mod tests {
         assert!(diff.improvements[0].contains("down to 0 per-event / 0 per-run"));
     }
 
-    /// Unknown schemas are rejected, naming every accepted tag.
+    /// Unknown schemas are rejected, naming the accepted tag, and so is
+    /// a current-schema document without its `hotpath` section.
     #[test]
     fn unknown_baseline_schemas_are_rejected() {
         let doc = "{\"format\":\"oocnvm.simlint/99\",\"allow_total\":0,\"counts\":[]}";
         let err = diff_baseline(doc, &Report::default(), &Allowlist::default())
             .expect_err("future schema must be rejected");
         assert!(err.contains("oocnvm.simlint/3"), "{err}");
-        assert!(err.contains("oocnvm.simlint/2"), "{err}");
-        assert!(err.contains("oocnvm.simlint/1"), "{err}");
+        let doc = "{\"format\":\"oocnvm.simlint/3\",\"allow_total\":0,\"counts\":[]}";
+        let err = diff_baseline(doc, &Report::default(), &Allowlist::default())
+            .expect_err("a baseline without a hotpath section must be rejected");
+        assert!(err.contains("hotpath"), "{err}");
     }
 }

@@ -44,16 +44,12 @@ impl Default for JournaledUfs {
 
 impl JournaledUfs {
     /// Replays `posix` through a freshly formatted filesystem, returning
-    /// the captured block trace, or the error that stopped the replay.
-    pub fn try_transform(&self, posix: &PosixTrace) -> Result<BlockTrace, SimError> {
-        self.transform_with_stats(posix).map(|(block, _)| block)
-    }
-
-    /// [`JournaledUfs::try_transform`] plus the filesystem's
-    /// write-amplification counters: how the journaled replay's device
-    /// bytes decompose into COW data, journal records and table applies
-    /// against the application bytes written — the exact breakdown of
-    /// the `ufs` study's replay overhead.
+    /// the captured block trace and the filesystem's write-amplification
+    /// counters, or the error that stopped the replay. The counters show
+    /// how the journaled replay's device bytes decompose into COW data,
+    /// journal records and table applies against the application bytes
+    /// written — the exact breakdown of the `ufs` study's replay
+    /// overhead.
     pub fn transform_with_stats(
         &self,
         posix: &PosixTrace,
@@ -137,21 +133,27 @@ impl FileSystemModel for JournaledUfs {
         "ufs-journaled"
     }
 
-    /// Infallible transform for the model interface: a replay error
-    /// (which only an impossible geometry can cause — the device is
-    /// sized from the trace) yields an empty trace rather than a panic.
+    /// Infallible transform for the model interface: the untraced
+    /// [`JournaledUfs::transform_observed`], so a replay error yields an
+    /// empty trace rather than a panic. The device is sized from the
+    /// trace, but a file holds at most 8 data extents, so a large trace
+    /// does fail: at 256 MiB the replay stops with
+    /// `ResourceExhausted("ufs data extents")`. The model interface
+    /// drops that error until `FileSystemModel::transform` returns a
+    /// `Result`; [`JournaledUfs::transform_with_stats`] returns it.
     fn transform(&self, posix: &PosixTrace) -> BlockTrace {
-        self.try_transform(posix)
-            .unwrap_or_else(|_| BlockTrace::new(self.queue_depth))
+        self.transform_observed(posix, &mut simobs::Tracer::off())
     }
 
-    /// The default observed transform, plus the journal's commit-phase
-    /// accounting: write-amplification counters (`ufs.user_bytes`,
-    /// `ufs.cow_bytes`, `ufs.journal_bytes`, `ufs.apply_bytes`,
-    /// `ufs.commits`) and a `Layer::Ufs` instant summarising the
-    /// journal's byte cost over the user's. The tracer reads finished
-    /// counters only, so the emitted block trace is byte-identical to
-    /// the untraced transform.
+    /// The one place the replay error is dropped (see
+    /// [`JournaledUfs::transform`]). Emits the `Layer::Fs` marker every
+    /// model emits ([`oocfs::observe_transform`]), then the journal's
+    /// commit-phase accounting: write-amplification counters
+    /// (`ufs.user_bytes`, `ufs.cow_bytes`, `ufs.journal_bytes`,
+    /// `ufs.apply_bytes`, `ufs.commits`) and a `Layer::Ufs` instant
+    /// summarising the journal's byte cost over the user's. The tracer
+    /// reads finished counters only, so tracing cannot change the block
+    /// trace.
     fn transform_observed(&self, posix: &PosixTrace, obs: &mut simobs::Tracer) -> BlockTrace {
         let (block, wa) = self.transform_with_stats(posix).unwrap_or_else(|_| {
             (
@@ -159,17 +161,8 @@ impl FileSystemModel for JournaledUfs {
                 crate::fs::WriteAmp::default(),
             )
         });
+        oocfs::observe_transform(self.name(), &block, obs);
         if obs.enabled() {
-            let requests = u64_from_usize(block.len());
-            let syncs = u64_from_usize(block.requests.iter().filter(|r| r.sync).count());
-            obs.instant(
-                simobs::Layer::Fs,
-                self.name(),
-                0,
-                [("requests", requests), ("sync", syncs)],
-            );
-            obs.count("fs.requests", requests);
-            obs.count("fs.sync_requests", syncs);
             obs.instant(
                 simobs::Layer::Ufs,
                 "journal_commit",
@@ -207,8 +200,8 @@ mod tests {
         let mut posix = PosixTrace::new();
         posix.push(rec(0, IoOp::Write, 0, 0, 64 * 1024));
         posix.push(rec(1, IoOp::Read, 0, 0, 64 * 1024));
-        let block = JournaledUfs::default()
-            .try_transform(&posix)
+        let (block, _) = JournaledUfs::default()
+            .transform_with_stats(&posix)
             .expect("replays");
         assert!(!block.is_empty());
         let syncs = block.requests.iter().filter(|r| r.sync).count();
@@ -264,8 +257,8 @@ mod tests {
             let offset = 1000 + i % 8 * 1_000_000;
             posix.push(rec(i, IoOp::Read, 0, offset, 1_000_000));
         }
-        let block = JournaledUfs::default()
-            .try_transform(&posix)
+        let (block, _) = JournaledUfs::default()
+            .transform_with_stats(&posix)
             .expect("replays");
         let reads = block.requests.iter().filter(|r| r.op.is_read());
         let device: u64 = reads.map(|r| r.len).sum();
@@ -278,8 +271,8 @@ mod tests {
     fn read_only_trace_materialises_and_still_replays() {
         let mut posix = PosixTrace::new();
         posix.push(rec(0, IoOp::Read, 3, 0, 12_000));
-        let block = JournaledUfs::default()
-            .try_transform(&posix)
+        let (block, _) = JournaledUfs::default()
+            .transform_with_stats(&posix)
             .expect("replays");
         // Zero-fill write, its journal commit, then the actual read.
         assert!(block.requests.iter().any(|r| r.op.is_read()));

@@ -2,7 +2,7 @@
 # Full local gate for the oocnvm workspace. Run from anywhere:
 #
 #   scripts/check.sh          # everything (what CI runs)
-#   scripts/check.sh --fast   # skip the release build
+#   scripts/check.sh --fast   # skip the release builds and smokes
 #
 # Stages, in dependency order:
 #   1. rustfmt        — formatting is canonical (`cargo fmt --check`)
@@ -66,6 +66,12 @@
 #                       versus results/simlint.baseline.json — any new
 #                       per-event allocation on a hot path fails the
 #                       gate (docs/STATIC_ANALYSIS.md)
+#  15. oocbench build — the benchmark (its own workspace under
+#                       oocbench/) must build in release mode from the
+#                       committed oocbench/Cargo.lock with --locked: a
+#                       crate API change that breaks it, or a dependency
+#                       edit that would rewrite the lockfile, fails here
+#                       (skipped with --fast)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -156,6 +162,11 @@ fi
 step "simlint --json --baseline (hot-path allocation inventory ratchet)"
 cargo run --quiet -p simlint -- --json --baseline results/simlint.baseline.json \
     > target/simlint.json
+
+if [ "$fast" -eq 0 ]; then
+    step "oocbench build (benchmark compiles against the locked lockfile)"
+    cargo build --release --offline --locked --quiet --manifest-path oocbench/Cargo.toml
+fi
 
 echo
 echo "check.sh: all gates passed"

@@ -72,8 +72,9 @@ impl ExtentAllocator {
     /// address order, capped at [`MAX_EXTENTS`] pieces.
     ///
     /// Hot-path audit (`hotpath_alloc`, allowlisted): the owned extent
-    /// list is the API — it is moved into the committed [`FileEntry`] —
-    /// and holds at most [`MAX_EXTENTS`] (8) elements.
+    /// list is the API — the commit remaps it into the file's extent
+    /// list — and holds at most [`MAX_EXTENTS`] elements, one in the
+    /// common case.
     pub fn allocate(&mut self, sectors: u64) -> Result<Vec<Extent>, SimError> {
         if sectors == 0 {
             return Ok(Vec::new());
@@ -106,6 +107,21 @@ impl ExtentAllocator {
             self.claim(*e)?;
         }
         Ok(picked)
+    }
+
+    /// Allocates one sector first-fit: the lowest free sector, which
+    /// fills a one-sector hole before it splits a larger run.
+    pub fn allocate_sector(&mut self) -> Result<u64, SimError> {
+        let start =
+            self.free
+                .keys()
+                .next()
+                .copied()
+                .ok_or_else(|| SimError::ResourceExhausted {
+                    resource: "ufs data extents".into(),
+                })?;
+        self.claim(Extent { start, len: 1 })?;
+        Ok(start)
     }
 
     /// Returns `ext` to the free pool, coalescing with neighbours.
@@ -190,6 +206,18 @@ mod tests {
         assert_eq!(a.free_sectors(), 30);
         // Fully coalesced back into one run.
         assert_eq!(a.free.len(), 1);
+    }
+
+    #[test]
+    fn a_single_sector_fills_the_lowest_hole() {
+        let mut a = ExtentAllocator::new(0, 10);
+        a.allocate(6).expect("fits"); // [0, 6)
+        a.release(Extent { start: 1, len: 1 });
+        assert_eq!(a.allocate_sector(), Ok(1));
+        assert_eq!(a.allocate_sector(), Ok(6));
+        assert_eq!(a.free_sectors(), 3);
+        let mut full = ExtentAllocator::new(0, 0);
+        assert!(full.allocate_sector().is_err());
     }
 
     #[test]

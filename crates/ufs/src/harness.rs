@@ -1,5 +1,10 @@
 //! The exhaustive crash-point harness.
 //!
+//! Two deterministic workloads are swept ([`CrashWorkload`]): overlay
+//! rewrites of several files from offset 0, and unaligned appends that
+//! grow files past the entry's direct extent slots, so that commits
+//! remap old tail sectors and write indirect extent sectors.
+//!
 //! One clean run of a deterministic workload establishes the ground
 //! truth: the total number of device sector writes `W`, the write index
 //! at which each transaction's commit mark persisted, and the logical
@@ -29,6 +34,19 @@ use rayon::prelude::*;
 use ssd::{BlockDevice, SimBlockDevice};
 use std::collections::BTreeMap;
 
+/// Which deterministic workload a sweep runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrashWorkload {
+    /// `rounds` passes over `files` files, each op overlaying a file from
+    /// offset 0 with fresh patterned content.
+    Overlays,
+    /// `rounds` passes over `files` files, each op appending unaligned
+    /// content at the file's end. Every commit remaps the file's old
+    /// tail sector, and a file whose extents outgrow the direct slots
+    /// writes an indirect extent sector.
+    Appends,
+}
+
 /// Workload and geometry of one crash-matrix sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashMatrixParams {
@@ -36,6 +54,8 @@ pub struct CrashMatrixParams {
     pub device_sectors: u64,
     /// Filesystem geometry.
     pub fs: UfsParams,
+    /// The workload's shape.
+    pub workload: CrashWorkload,
     /// Files the workload cycles over.
     pub files: u32,
     /// Write+fsync rounds per file.
@@ -51,6 +71,7 @@ impl Default for CrashMatrixParams {
         CrashMatrixParams {
             device_sectors: 1024,
             fs: UfsParams::default(),
+            workload: CrashWorkload::Overlays,
             files: 3,
             rounds: 2,
             payload_bytes: 6000,
@@ -59,17 +80,21 @@ impl Default for CrashMatrixParams {
     }
 }
 
-/// One workload step: write `content` to `name`, then fsync.
+/// One workload step: write `content` to `name` at byte `offset`, then
+/// fsync.
 #[derive(Debug, Clone)]
 struct Op {
     name: String,
+    offset: u64,
     content: Vec<u8>,
 }
 
 /// Deterministic workload: `rounds` passes over `files` files, each op
-/// rewriting the whole file with fresh patterned content and fsyncing.
+/// writing fresh patterned content — at offset 0, or at the file's end —
+/// and fsyncing.
 fn workload(params: &CrashMatrixParams) -> Vec<Op> {
     let mut ops = Vec::new();
+    let mut ends: BTreeMap<u32, u64> = BTreeMap::new();
     for round in 0..params.rounds {
         for file in 0..params.files {
             let tag = u64::from(round) * u64::from(params.files) + u64::from(file);
@@ -81,8 +106,15 @@ fn workload(params: &CrashMatrixParams) -> Vec<Op> {
                     u8::try_from(x).unwrap_or(0)
                 })
                 .collect();
+            let end = ends.entry(file).or_insert(0);
+            let offset = match params.workload {
+                CrashWorkload::Overlays => 0,
+                CrashWorkload::Appends => *end,
+            };
+            *end = (*end).max(offset + u64_from_usize(len));
             ops.push(Op {
                 name: format!("f{file}"),
+                offset,
                 content,
             });
         }
@@ -99,37 +131,44 @@ enum RunEnd {
     Completed {
         fs: Box<Ufs<SimBlockDevice>>,
         commits: Vec<(u64, BTreeMap<String, Vec<u8>>)>,
+        /// Most extents any file held after a commit.
+        max_extents: u64,
     },
     /// Power was lost mid-op; the surviving media image.
     PowerLost { media: Vec<u8> },
 }
 
-/// Mirrors [`Ufs::write`] at offset 0 in the logical model: a pwrite-style
-/// overlay, so a shorter rewrite never truncates the file.
-fn overlay(model: &mut BTreeMap<String, Vec<u8>>, name: &str, content: &[u8]) {
+/// Mirrors [`Ufs::write`] in the logical model: a pwrite-style overlay
+/// at `offset`, so a shorter rewrite never truncates the file and a gap
+/// past the end reads as zeros.
+fn overlay(model: &mut BTreeMap<String, Vec<u8>>, name: &str, offset: u64, content: &[u8]) {
     let file = model.entry(name.to_string()).or_default();
-    if file.len() < content.len() {
-        file.resize(content.len(), 0);
+    let (at, end) = (usize_from(offset), usize_from(offset) + content.len());
+    if file.len() < end {
+        file.resize(end, 0);
     }
-    file[..content.len()].copy_from_slice(content);
+    file[at..end].copy_from_slice(content);
 }
 
 fn run_ops(dev: SimBlockDevice, ops: &[Op]) -> Result<RunEnd, SimError> {
     let (mut fs, _report) = Ufs::mount(dev)?;
     let mut commits = Vec::new();
     let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+    let mut max_extents = 0;
     for op in ops {
-        let step = (|| -> Result<(), SimError> {
+        let step = (|| -> Result<usize, SimError> {
             let id = match fs.open(&op.name) {
                 Ok(id) => id,
                 Err(_) => fs.create(&op.name)?,
             };
-            fs.write(id, 0, &op.content)?;
-            fs.fsync(id)
+            fs.write(id, op.offset, &op.content)?;
+            fs.fsync(id)?;
+            Ok(fs.entry(id)?.extents.len())
         })();
         match step {
-            Ok(()) => {
-                overlay(&mut model, &op.name, &op.content);
+            Ok(extents) => {
+                max_extents = max_extents.max(u64_from_usize(extents));
+                overlay(&mut model, &op.name, op.offset, &op.content);
                 let commit_index = fs.device().writes_persisted() - WRITES_AFTER_COMMIT;
                 commits.push((commit_index, model.clone()));
             }
@@ -144,6 +183,7 @@ fn run_ops(dev: SimBlockDevice, ops: &[Op]) -> Result<RunEnd, SimError> {
     Ok(RunEnd::Completed {
         fs: Box::new(fs),
         commits,
+        max_extents,
     })
 }
 
@@ -165,6 +205,10 @@ pub struct CrashMatrixReport {
     pub total_writes: u64,
     /// Transactions the clean run committed.
     pub commits: u64,
+    /// Most extents any file held after a commit of the clean run (past
+    /// [`crate::layout::DIRECT_EXTENTS`], the sweep covered indirect
+    /// extent sectors).
+    pub max_extents: u64,
     /// Crash cases executed (`2 * total_writes`: dropped and torn).
     pub cases: u64,
     /// Cases whose remount replayed at least one transaction.
@@ -179,10 +223,11 @@ impl CrashMatrixReport {
     /// Deterministic multi-line report.
     pub fn render(&self) -> String {
         format!(
-            "crash matrix: {} writes, {} commits, {} cases\n  replayed in {} cases, discarded uncommitted in {} cases\n  recovery digest {:08x}\n",
+            "crash matrix: {} writes, {} commits, {} cases, files reach {} extents\n  replayed in {} cases, discarded uncommitted in {} cases\n  recovery digest {:08x}\n",
             self.total_writes,
             self.commits,
             self.cases,
+            self.max_extents,
             self.cases_replayed,
             self.cases_discarded,
             self.digest,
@@ -204,8 +249,12 @@ pub fn crash_matrix(params: &CrashMatrixParams) -> Result<CrashMatrixReport, Sim
 
     // Clean run: ground truth.
     let clean = run_ops(SimBlockDevice::from_media(base.clone())?, &ops)?;
-    let (clean_fs, commits) = match clean {
-        RunEnd::Completed { fs, commits } => (fs, commits),
+    let (clean_fs, commits, max_extents) = match clean {
+        RunEnd::Completed {
+            fs,
+            commits,
+            max_extents,
+        } => (fs, commits, max_extents),
         RunEnd::PowerLost { .. } => {
             return Err(SimError::invalid_config(
                 "crash_matrix",
@@ -248,6 +297,7 @@ pub fn crash_matrix(params: &CrashMatrixParams) -> Result<CrashMatrixReport, Sim
     Ok(CrashMatrixReport {
         total_writes,
         commits: u64_from_usize(commits.len()),
+        max_extents,
         cases,
         cases_replayed,
         cases_discarded,
@@ -377,6 +427,7 @@ mod tests {
                 max_files: 8,
                 journal_sectors: 16,
             },
+            workload: CrashWorkload::Overlays,
             files: 2,
             rounds: 2,
             payload_bytes: 5000,
@@ -403,6 +454,34 @@ mod tests {
         assert!(report.cases_discarded > 0);
     }
 
+    /// One file grown by ten unaligned appends of 5000-9000 bytes.
+    fn appends() -> CrashMatrixParams {
+        CrashMatrixParams {
+            workload: CrashWorkload::Appends,
+            files: 1,
+            rounds: 10,
+            ..tiny()
+        }
+    }
+
+    #[test]
+    fn exhaustive_append_matrix_covers_the_indirect_extent_sector() {
+        let report = crash_matrix(&appends()).expect("matrix holds");
+        assert_eq!(report.commits, 10);
+        assert_eq!(report.cases, 2 * report.total_writes);
+        // Each append remaps the old tail sector, adding an extent: the
+        // file outgrows the direct slots, so the later commits write
+        // (and crash around) an indirect extent sector.
+        assert!(
+            report.max_extents > u64_from_usize(crate::layout::DIRECT_EXTENTS),
+            "{}",
+            report.render()
+        );
+        assert!(report.cases_replayed >= 2 * report.commits);
+        assert!(report.cases_discarded > 0);
+        assert_eq!(crash_matrix(&appends()), Ok(report));
+    }
+
     #[test]
     fn matrix_report_is_deterministic_across_runs() {
         let a = crash_matrix(&tiny()).expect("runs");
@@ -419,7 +498,15 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name, y.name);
+            assert_eq!(x.offset, y.offset);
             assert_eq!(x.content, y.content);
+        }
+        assert!(a.iter().all(|op| op.offset == 0));
+        // Appends start where the previous write to the file ended.
+        let ops = workload(&appends());
+        for pair in ops.windows(2) {
+            let end = pair[0].offset + u64_from_usize(pair[0].content.len());
+            assert_eq!(pair[1].offset, end);
         }
     }
 }

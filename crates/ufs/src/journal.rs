@@ -191,6 +191,7 @@ mod tests {
                 start: 200 + tag,
                 len: 1,
             }],
+            indirect: None,
         }
     }
 

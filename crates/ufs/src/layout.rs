@@ -1,4 +1,5 @@
-//! On-disk layout: superblock, file-table entries and journal records.
+//! On-disk layout: superblock, file-table entries, indirect extent
+//! sectors and journal records.
 //!
 //! Every metadata structure fits in exactly one 4 KiB sector and carries
 //! a trailing CRC32 over everything before it, so a torn sector write —
@@ -8,6 +9,11 @@
 //! interrupted in-place apply can damage only the entry being updated,
 //! and that entry is exactly the one crash recovery rewrites from its
 //! journal image (see docs/UFS.md).
+//!
+//! A file entry holds [`DIRECT_EXTENTS`] extents itself; a longer
+//! extent list spills into one indirect extent sector per file, which is
+//! copy-on-write data like the file's content: written to a fresh sector
+//! before the journal names it, never updated in place.
 //!
 //! All integers are little-endian. Vacant table sectors and never-used
 //! journal slots are all-zero.
@@ -22,16 +28,26 @@ pub const UFS_MAGIC: u32 = 0x5546_5331;
 pub const ENTRY_MAGIC: u32 = 0x5546_4531;
 /// Journal-record magic, `UFJ1`.
 pub const JREC_MAGIC: u32 = 0x5546_4A31;
-/// On-disk format version.
-pub const VERSION: u32 = 1;
+/// Indirect-extent-sector magic, `UFX1`.
+pub const INDIRECT_MAGIC: u32 = 0x5546_5831;
+/// On-disk format version. Version 2 has 7 direct extent slots per
+/// entry and an indirect extent sector; version 1 had 8 direct slots.
+pub const VERSION: u32 = 2;
 /// Longest file name, bytes.
 pub const MAX_NAME: usize = 64;
-/// Most extents one file can hold (a full entry still fits one sector).
-pub const MAX_EXTENTS: usize = 8;
+/// Extent slots in the file entry itself.
+pub const DIRECT_EXTENTS: usize = 7;
+/// Extent slots in one indirect extent sector.
+pub const INDIRECT_EXTENTS: usize = 255;
+/// Most extents one file can hold: the direct slots plus one indirect
+/// sector.
+pub const MAX_EXTENTS: usize = DIRECT_EXTENTS + INDIRECT_EXTENTS;
 
 /// Byte length of an encoded file entry (CRC included).
 pub const ENTRY_BYTES: usize = 220;
 const ENTRY_CRC_OFF: usize = 216;
+const ENTRY_INDIRECT_OFF: usize = 200;
+const INDIRECT_CRC_OFF: usize = SECTOR_USIZE - 4;
 const JREC_CRC_OFF: usize = 252;
 const SB_CRC_OFF: usize = 56;
 
@@ -162,42 +178,118 @@ pub struct FileEntry {
     pub name: String,
     /// Logical size in bytes.
     pub size: u64,
-    /// Physically contiguous runs backing the file, in file order.
+    /// Physically contiguous runs backing the file, in file order. The
+    /// first [`DIRECT_EXTENTS`] live in the entry, the rest in its
+    /// indirect sector: [`FileEntry::decode`] returns the direct ones and
+    /// [`FileEntry::load_indirect`] appends the rest.
     pub extents: Vec<Extent>,
+    /// The indirect extent sector; present iff the file has more than
+    /// [`DIRECT_EXTENTS`] extents.
+    pub indirect: Option<Indirect>,
+}
+
+/// Where a file's extents past the direct slots live.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Indirect {
+    /// The indirect extent sector.
+    pub lba: u64,
+    /// Extents it holds (1..=[`INDIRECT_EXTENTS`]).
+    pub extents: u32,
 }
 
 impl FileEntry {
+    /// Extents held in the indirect sector (0 without one).
+    fn spilled(&self) -> usize {
+        self.indirect.map_or(0, |i| usize_from_u32(i.extents))
+    }
+
     /// Encodes into a zero-padded sector image.
-    pub fn encode(&self) -> Vec<u8> {
+    pub fn encode(&self) -> Result<Vec<u8>, SimError> {
         let mut buf = vec![0u8; SECTOR_USIZE];
-        self.encode_into(&mut buf);
-        buf
+        self.encode_into(&mut buf)?;
+        Ok(buf)
     }
 
     /// [`FileEntry::encode`] into a caller-provided sector buffer
     /// (`SECTOR_USIZE` bytes, overwritten entirely) — the fsync path
     /// encodes per event and reuses a stack buffer instead of
-    /// allocating.
-    pub fn encode_into(&self, buf: &mut [u8]) {
-        debug_assert_eq!(buf.len(), SECTOR_USIZE);
+    /// allocating. An entry the slots cannot hold (a bad name length,
+    /// more extents than the direct slots plus its indirect sector, an
+    /// indirect sector with no extents or under a partly used direct
+    /// list) is an error, never a truncated image.
+    pub fn encode_into(&self, buf: &mut [u8]) -> Result<(), SimError> {
+        let fail = |reason: String| SimError::invalid_config("ufs.entry", reason);
+        if buf.len() != SECTOR_USIZE {
+            return Err(fail(format!("sector buffer is {} bytes", buf.len())));
+        }
+        let name = self.name.as_bytes();
+        if name.is_empty() || name.len() > MAX_NAME {
+            return Err(fail(format!("name length {}", name.len())));
+        }
+        let (n, spilled) = (self.extents.len(), self.spilled());
+        let spill_ok = match self.indirect {
+            None => n <= DIRECT_EXTENTS,
+            // Loaded (all extents) or as decoded (the direct ones only).
+            Some(_) => {
+                (1..=INDIRECT_EXTENTS).contains(&spilled)
+                    && (n == DIRECT_EXTENTS || n == DIRECT_EXTENTS + spilled)
+            }
+        };
+        if !spill_ok {
+            return Err(fail(format!(
+                "{n} extents do not fit {DIRECT_EXTENTS} direct slots and an indirect sector of {spilled}"
+            )));
+        }
         buf.fill(0);
         put_u32(buf, 0, ENTRY_MAGIC);
-        let name = self.name.as_bytes();
         put_u32(buf, 4, u32_from(u64_from_usize(name.len())));
-        buf[8..8 + name.len().min(MAX_NAME)].copy_from_slice(&name[..name.len().min(MAX_NAME)]);
+        buf[8..8 + name.len()].copy_from_slice(name);
         put_u64(buf, 72, self.size);
-        put_u32(buf, 80, u32_from(u64_from_usize(self.extents.len())));
-        for (i, e) in self.extents.iter().take(MAX_EXTENTS).enumerate() {
+        let direct = n.min(DIRECT_EXTENTS);
+        put_u32(buf, 80, u32_from(u64_from_usize(direct)));
+        put_u32(buf, 84, u32_from(u64_from_usize(spilled)));
+        for (i, e) in self.extents[..direct].iter().enumerate() {
             put_u64(buf, 88 + i * 16, e.start);
             put_u64(buf, 96 + i * 16, e.len);
         }
+        put_u64(buf, ENTRY_INDIRECT_OFF, self.indirect.map_or(0, |i| i.lba));
         let crc = crc32(&buf[..ENTRY_CRC_OFF]);
         put_u32(buf, ENTRY_CRC_OFF, crc);
+        Ok(())
+    }
+
+    /// Encodes the indirect extent sector of a fully loaded entry
+    /// (`SECTOR_USIZE` bytes, overwritten entirely): its magic, extent
+    /// count, the extents past the direct slots and a trailing CRC.
+    pub fn encode_indirect_into(&self, buf: &mut [u8]) -> Result<(), SimError> {
+        let spilled = self.spilled();
+        let loaded = self.extents.len() == DIRECT_EXTENTS + spilled;
+        if !(1..=INDIRECT_EXTENTS).contains(&spilled) || !loaded || buf.len() != SECTOR_USIZE {
+            return Err(SimError::invalid_config(
+                "ufs.entry",
+                format!(
+                    "{} extents with an indirect sector of {spilled}",
+                    self.extents.len()
+                ),
+            ));
+        }
+        buf.fill(0);
+        put_u32(buf, 0, INDIRECT_MAGIC);
+        put_u32(buf, 4, u32_from(u64_from_usize(spilled)));
+        for (i, e) in self.extents[DIRECT_EXTENTS..].iter().enumerate() {
+            put_u64(buf, 8 + i * 16, e.start);
+            put_u64(buf, 16 + i * 16, e.len);
+        }
+        let crc = crc32(&buf[..INDIRECT_CRC_OFF]);
+        put_u32(buf, INDIRECT_CRC_OFF, crc);
+        Ok(())
     }
 
     /// Decodes a file-table sector. `Ok(None)` is a vacant (all-zero)
     /// slot; anything else that fails validation is corruption at
-    /// `sector` (the caller supplies the LBA for the error).
+    /// `sector` (the caller supplies the LBA for the error). The extents
+    /// past the direct slots stay in the indirect sector until
+    /// [`FileEntry::load_indirect`].
     pub fn decode(buf: &[u8], sector: u64) -> Result<Option<FileEntry>, SimError> {
         let fail = |reason: String| SimError::corruption("file entry", sector, reason);
         if buf.len() != SECTOR_USIZE {
@@ -218,12 +310,27 @@ impl FileEntry {
         }
         let name = String::from_utf8(buf[8..8 + name_len].to_vec())
             .map_err(|_| fail("name is not utf-8".into()))?;
-        let n_extents = usize_from_u32(get_u32(buf, 80));
-        if n_extents > MAX_EXTENTS {
-            return Err(fail(format!("{n_extents} extents")));
-        }
-        let mut extents = Vec::with_capacity(n_extents);
-        for i in 0..n_extents {
+        let direct = usize_from_u32(get_u32(buf, 80));
+        let spilled = get_u32(buf, 84);
+        let lba = get_u64(buf, ENTRY_INDIRECT_OFF);
+        let indirect = if spilled == 0 && lba == 0 && direct <= DIRECT_EXTENTS {
+            None
+        } else if spilled > 0
+            && usize_from_u32(spilled) <= INDIRECT_EXTENTS
+            && lba != 0
+            && direct == DIRECT_EXTENTS
+        {
+            Some(Indirect {
+                lba,
+                extents: spilled,
+            })
+        } else {
+            return Err(fail(format!(
+                "{direct} direct extents, {spilled} indirect at sector {lba}"
+            )));
+        };
+        let mut extents = Vec::with_capacity(direct);
+        for i in 0..direct {
             let e = Extent {
                 start: get_u64(buf, 88 + i * 16),
                 len: get_u64(buf, 96 + i * 16),
@@ -237,7 +344,46 @@ impl FileEntry {
             name,
             size: get_u64(buf, 72),
             extents,
+            indirect,
         }))
+    }
+
+    /// Appends the extents of the entry's indirect sector image `buf` to
+    /// the direct ones [`FileEntry::decode`] returned. A no-op for an
+    /// entry without one; a sector that fails validation is corruption
+    /// at the indirect sector.
+    pub fn load_indirect(&mut self, buf: &[u8]) -> Result<(), SimError> {
+        let Some(ind) = self.indirect else {
+            return Ok(());
+        };
+        let fail = |reason: String| SimError::corruption("indirect extents", ind.lba, reason);
+        if buf.len() != SECTOR_USIZE {
+            return Err(fail(format!("sector image is {} bytes", buf.len())));
+        }
+        if get_u32(buf, 0) != INDIRECT_MAGIC {
+            return Err(fail("bad magic".into()));
+        }
+        if get_u32(buf, INDIRECT_CRC_OFF) != crc32(&buf[..INDIRECT_CRC_OFF]) {
+            return Err(fail("crc mismatch".into()));
+        }
+        if get_u32(buf, 4) != ind.extents {
+            return Err(fail(format!(
+                "holds {} extents, entry says {}",
+                get_u32(buf, 4),
+                ind.extents
+            )));
+        }
+        for i in 0..usize_from_u32(ind.extents) {
+            let e = Extent {
+                start: get_u64(buf, 8 + i * 16),
+                len: get_u64(buf, 16 + i * 16),
+            };
+            if e.len == 0 {
+                return Err(fail(format!("extent {i} has zero length")));
+            }
+            self.extents.push(e);
+        }
+        Ok(())
     }
 }
 
@@ -266,10 +412,12 @@ pub enum RecordKind {
 }
 
 impl RecordKind {
+    const UPDATE_TAG: u32 = 2;
+
     fn tag(&self) -> u32 {
         match self {
             RecordKind::Begin => 1,
-            RecordKind::Update { .. } => 2,
+            RecordKind::Update { .. } => RecordKind::UPDATE_TAG,
             RecordKind::Commit { .. } => 3,
             RecordKind::Checkpoint => 4,
         }
@@ -289,58 +437,74 @@ pub struct JournalRecord {
 
 impl JournalRecord {
     /// Encodes into a zero-padded sector image.
-    pub fn encode(&self) -> Vec<u8> {
+    pub fn encode(&self) -> Result<Vec<u8>, SimError> {
         let mut buf = vec![0u8; SECTOR_USIZE];
-        self.encode_into(&mut buf);
-        buf
+        self.encode_into(&mut buf)?;
+        Ok(buf)
     }
 
     /// [`JournalRecord::encode`] into a caller-provided sector buffer
     /// (`SECTOR_USIZE` bytes, overwritten entirely) — journal appends
     /// run per event and reuse a stack buffer instead of allocating.
-    pub fn encode_into(&self, buf: &mut [u8]) {
-        debug_assert_eq!(buf.len(), SECTOR_USIZE);
-        buf.fill(0);
-        put_u32(buf, 0, JREC_MAGIC);
-        put_u32(buf, 4, self.kind.tag());
-        put_u64(buf, 8, self.seq);
-        put_u64(buf, 16, self.tid);
-        match &self.kind {
-            RecordKind::Update { slot, entry } => {
-                put_u32(buf, 24, *slot);
-                // The embedded entry image is built on the stack; only
-                // its leading `ENTRY_BYTES` (CRC included) are carried.
-                let mut image = [0u8; SECTOR_USIZE];
-                entry.encode_into(&mut image);
-                buf[32..32 + ENTRY_BYTES].copy_from_slice(&image[..ENTRY_BYTES]);
-            }
-            RecordKind::Commit { n_updates } => put_u32(buf, 24, *n_updates),
-            RecordKind::Begin | RecordKind::Checkpoint => {}
+    /// Fails only for an `Update` whose entry does not encode.
+    pub fn encode_into(&self, buf: &mut [u8]) -> Result<(), SimError> {
+        if let RecordKind::Update { slot, entry } = &self.kind {
+            return JournalRecord::encode_update_into(self.seq, self.tid, *slot, entry, buf);
         }
-        let crc = crc32(&buf[..JREC_CRC_OFF]);
-        put_u32(buf, JREC_CRC_OFF, crc);
+        put_header(buf, self.kind.tag(), self.seq, self.tid);
+        if let RecordKind::Commit { n_updates } = self.kind {
+            put_u32(buf, 24, n_updates);
+        }
+        seal_record(buf);
+        Ok(())
     }
 
-    /// Decodes a journal-ring sector. `None` means "no usable record
-    /// here" — a blank slot, or a record torn mid-write. The journal is
-    /// the one place a bad CRC is *not* corruption: the tail record of an
-    /// interrupted transaction is expected debris, and recovery treats
-    /// the transaction as uncommitted.
-    pub fn decode(buf: &[u8]) -> Option<JournalRecord> {
+    /// Encodes the `Update` record `(seq, tid)` setting `slot` to a
+    /// borrowed `entry` — the commit path journals the entry it has just
+    /// installed without cloning it into a [`RecordKind`].
+    pub fn encode_update_into(
+        seq: u64,
+        tid: u64,
+        slot: u32,
+        entry: &FileEntry,
+        buf: &mut [u8],
+    ) -> Result<(), SimError> {
+        // The embedded entry image is built on the stack; only its
+        // leading `ENTRY_BYTES` (CRC included) are carried.
+        let mut image = [0u8; SECTOR_USIZE];
+        entry.encode_into(&mut image)?;
+        put_header(buf, RecordKind::UPDATE_TAG, seq, tid);
+        put_u32(buf, 24, slot);
+        buf[32..32 + ENTRY_BYTES].copy_from_slice(&image[..ENTRY_BYTES]);
+        seal_record(buf);
+        Ok(())
+    }
+
+    /// Decodes the journal-ring sector at `sector`. `Ok(None)` means "no
+    /// usable record here" — a blank slot, or a record torn mid-write.
+    /// The journal is the one place a bad CRC is *not* corruption: the
+    /// tail record of an interrupted transaction is expected debris, and
+    /// recovery treats the transaction as uncommitted. A record whose CRC
+    /// verifies but whose payload does not decode (an unknown kind, an
+    /// `Update` without a valid entry) was written that way, and is
+    /// [`SimError::Corruption`]: dropping it could drop a committed
+    /// update.
+    pub fn decode(buf: &[u8], sector: u64) -> Result<Option<JournalRecord>, SimError> {
         if buf.len() != SECTOR_USIZE || get_u32(buf, 0) != JREC_MAGIC {
-            return None;
+            return Ok(None);
         }
         if get_u32(buf, JREC_CRC_OFF) != crc32(&buf[..JREC_CRC_OFF]) {
-            return None;
+            return Ok(None);
         }
         let seq = get_u64(buf, 8);
         let tid = get_u64(buf, 16);
         let kind = match get_u32(buf, 4) {
             1 => RecordKind::Begin,
-            2 => {
-                let entry = FileEntry::decode(&sector_of(&buf[32..32 + ENTRY_BYTES]), 0)
-                    .ok()
-                    .flatten()?;
+            RecordKind::UPDATE_TAG => {
+                let entry = FileEntry::decode(&sector_of(&buf[32..32 + ENTRY_BYTES]), sector)?
+                    .ok_or_else(|| {
+                        SimError::corruption("journal record", sector, "update carries no entry")
+                    })?;
                 RecordKind::Update {
                     slot: get_u32(buf, 24),
                     entry,
@@ -350,10 +514,33 @@ impl JournalRecord {
                 n_updates: get_u32(buf, 24),
             },
             4 => RecordKind::Checkpoint,
-            _ => return None,
+            tag => {
+                return Err(SimError::corruption(
+                    "journal record",
+                    sector,
+                    format!("unknown record kind {tag}"),
+                ))
+            }
         };
-        Some(JournalRecord { seq, tid, kind })
+        Ok(Some(JournalRecord { seq, tid, kind }))
     }
+}
+
+/// Writes a journal record's magic, kind tag, sequence number and
+/// transaction id over a zeroed sector buffer.
+fn put_header(buf: &mut [u8], tag: u32, seq: u64, tid: u64) {
+    debug_assert_eq!(buf.len(), SECTOR_USIZE);
+    buf.fill(0);
+    put_u32(buf, 0, JREC_MAGIC);
+    put_u32(buf, 4, tag);
+    put_u64(buf, 8, seq);
+    put_u64(buf, 16, tid);
+}
+
+/// Stamps a journal record's CRC.
+fn seal_record(buf: &mut [u8]) {
+    let crc = crc32(&buf[..JREC_CRC_OFF]);
+    put_u32(buf, JREC_CRC_OFF, crc);
 }
 
 /// Re-pads an embedded entry image to a full sector for [`FileEntry::decode`].
@@ -376,12 +563,34 @@ pub fn sector_offset(lba: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvmtypes::convert::usize_from;
 
     fn entry() -> FileEntry {
         FileEntry {
             name: "panel-007".into(),
             size: 12_345,
             extents: vec![Extent { start: 70, len: 3 }, Extent { start: 90, len: 1 }],
+            indirect: None,
+        }
+    }
+
+    /// A file of `n` one-sector extents, with an indirect sector at 500
+    /// when they spill past the direct slots.
+    fn fragmented(n: u64) -> FileEntry {
+        let spilled = usize_from(n).saturating_sub(DIRECT_EXTENTS);
+        FileEntry {
+            name: "frag".into(),
+            size: n * 4096,
+            extents: (0..n)
+                .map(|i| Extent {
+                    start: 100 + 2 * i,
+                    len: 1,
+                })
+                .collect(),
+            indirect: (spilled > 0).then(|| Indirect {
+                lba: 500,
+                extents: u32_from(u64_from_usize(spilled)),
+            }),
         }
     }
 
@@ -418,7 +627,7 @@ mod tests {
     #[test]
     fn file_entry_round_trips_and_vacant_is_none() {
         let e = entry();
-        let buf = e.encode();
+        let buf = e.encode().expect("encodes");
         assert_eq!(FileEntry::decode(&buf, 7), Ok(Some(e)));
         let zero = vec![0u8; SECTOR_USIZE];
         assert_eq!(FileEntry::decode(&zero, 7), Ok(None));
@@ -426,6 +635,70 @@ mod tests {
         torn[100] ^= 0x55;
         let err = FileEntry::decode(&torn, 7);
         assert!(matches!(err, Err(SimError::Corruption { sector: 7, .. })));
+    }
+
+    #[test]
+    fn extents_past_the_direct_slots_round_trip_through_the_indirect_sector() {
+        for n in [DIRECT_EXTENTS as u64, 8, 20, MAX_EXTENTS as u64] {
+            let e = fragmented(n);
+            let mut indirect = vec![0u8; SECTOR_USIZE];
+            if e.indirect.is_some() {
+                e.encode_indirect_into(&mut indirect).expect("encodes");
+            }
+            let mut back = FileEntry::decode(&e.encode().expect("encodes"), 3)
+                .expect("decodes")
+                .expect("present");
+            assert_eq!(back.extents.len(), usize_from(n).min(DIRECT_EXTENTS));
+            // The decoded entry re-encodes to the same image: what redo
+            // recovery writes back from a journal record.
+            assert_eq!(back.encode(), e.encode());
+            back.load_indirect(&indirect).expect("loads");
+            assert_eq!(back, e, "{n} extents");
+        }
+        // A damaged indirect sector is corruption at its own LBA.
+        let e = fragmented(9);
+        let mut indirect = vec![0u8; SECTOR_USIZE];
+        e.encode_indirect_into(&mut indirect).expect("encodes");
+        indirect[20] ^= 1;
+        let mut back = FileEntry::decode(&e.encode().expect("encodes"), 3)
+            .expect("decodes")
+            .expect("present");
+        let err = back.load_indirect(&indirect);
+        assert!(
+            matches!(err, Err(SimError::Corruption { sector: 500, .. })),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn an_extent_list_the_slots_cannot_hold_is_a_typed_error() {
+        // Eight extents and no indirect sector: an error, not an entry
+        // whose count promises extents its slots dropped.
+        let mut e = fragmented(8);
+        e.indirect = None;
+        let mut buf = vec![0u8; SECTOR_USIZE];
+        assert!(matches!(
+            e.encode_into(&mut buf),
+            Err(SimError::InvalidConfig { .. })
+        ));
+        // One extent more than the indirect sector says it holds.
+        let mut e = fragmented(9);
+        e.extents.push(Extent { start: 900, len: 1 });
+        assert!(e.encode().is_err());
+        // More than any entry can hold.
+        let e = fragmented(MAX_EXTENTS as u64 + 1);
+        assert!(e.encode().is_err());
+        assert!(e.encode_indirect_into(&mut buf).is_err());
+        // A name too long for its slot is an error too, not a truncation.
+        let mut e = entry();
+        e.name = "n".repeat(MAX_NAME + 1);
+        assert!(e.encode().is_err());
+        let record = JournalRecord {
+            seq: 1,
+            tid: 1,
+            kind: RecordKind::Update { slot: 0, entry: e },
+        };
+        assert!(record.encode().is_err());
     }
 
     #[test]
@@ -456,9 +729,44 @@ mod tests {
             },
         ];
         for r in records {
-            let buf = r.encode();
-            assert_eq!(JournalRecord::decode(&buf), Some(r));
+            let buf = r.encode().expect("encodes");
+            assert_eq!(JournalRecord::decode(&buf, 70), Ok(Some(r)));
         }
+    }
+
+    #[test]
+    fn a_crc_valid_update_without_a_valid_entry_is_corruption() {
+        let r = JournalRecord {
+            seq: 2,
+            tid: 9,
+            kind: RecordKind::Update {
+                slot: 5,
+                entry: entry(),
+            },
+        };
+        let good = r.encode().expect("encodes");
+        // Damage the embedded entry (its name length), then re-seal the
+        // record: the record CRC verifies, the entry inside does not.
+        let mut bad = good.clone();
+        bad[32 + 4] = 0xFF;
+        seal_record(&mut bad);
+        let err = JournalRecord::decode(&bad, 70);
+        assert!(
+            matches!(err, Err(SimError::Corruption { sector: 70, .. })),
+            "{err:?}"
+        );
+        // An all-zero entry image inside a valid record is no entry.
+        let mut vacant = good.clone();
+        vacant[32..32 + ENTRY_BYTES].fill(0);
+        seal_record(&mut vacant);
+        assert!(matches!(
+            JournalRecord::decode(&vacant, 70),
+            Err(SimError::Corruption { .. })
+        ));
+        // A bad record CRC is still "no record", not corruption.
+        let mut torn = good;
+        torn[32 + 4] = 0xFF;
+        assert_eq!(JournalRecord::decode(&torn, 70), Ok(None));
     }
 
     #[test]
@@ -468,22 +776,23 @@ mod tests {
             tid: 3,
             kind: RecordKind::Commit { n_updates: 1 },
         };
-        let new = r.encode();
+        let new = r.encode().expect("encodes");
         // Old slot contents: a valid record from a previous ring lap.
         let old = JournalRecord {
             seq: 8 - 4,
             tid: 1,
             kind: RecordKind::Begin,
         }
-        .encode();
+        .encode()
+        .expect("encodes");
         // A torn write persists a prefix of the new record over the old.
         for keep in [0usize, 1, 100, JREC_CRC_OFF, JREC_CRC_OFF + 2] {
             let mut sector = old.clone();
             sector[..keep].copy_from_slice(&new[..keep]);
-            let got = JournalRecord::decode(&sector);
+            let got = JournalRecord::decode(&sector, 70).expect("debris is not corruption");
             assert_ne!(got, Some(r.clone()), "keep={keep} yielded the new record");
         }
         // The full record survives a "tear" that kept everything.
-        assert_eq!(JournalRecord::decode(&new), Some(r));
+        assert_eq!(JournalRecord::decode(&new, 70), Ok(Some(r)));
     }
 }

@@ -5,8 +5,8 @@
 //! simulated block device, with real durability semantics to defend:
 //!
 //! * [`layout`] — the on-disk format: one CRC-tagged metadata structure
-//!   per 4 KiB sector (superblock, file entries, journal records), so
-//!   torn sector writes are always detectable;
+//!   per 4 KiB sector (superblock, file entries, indirect extent sectors,
+//!   journal records), so torn sector writes are always detectable;
 //! * [`alloc`] — first-fit extent allocation, rebuilt from the file
 //!   table at every mount (no on-disk free list to corrupt), keeping
 //!   files contiguous so application request size and sequentiality
@@ -15,8 +15,10 @@
 //!   transactions past the checkpoint horizon are replayed from their
 //!   full-entry journal images, uncommitted ones are discarded;
 //! * [`fs`] — mount/create/open/read/write/fsync over any
-//!   [`ssd::BlockDevice`], with the five-phase commit protocol
-//!   (data → journal → commit mark → apply → checkpoint);
+//!   [`ssd::BlockDevice`]: writes stage only the sectors they dirty, and
+//!   the five-phase commit protocol (data → journal → commit mark →
+//!   apply → checkpoint) copies just those sectors to fresh ones and
+//!   remaps them in the file's extent list;
 //! * [`harness`] — the exhaustive crash-point sweep: power loss after
 //!   *every* device write of a workload, dropped and torn, each case
 //!   remounted and checked for committed-prefix visibility and
@@ -39,7 +41,7 @@ pub mod layout;
 pub mod replay;
 
 pub use fs::{FileId, Ufs, UfsParams, WriteAmp};
-pub use harness::{crash_matrix, CrashMatrixParams, CrashMatrixReport};
+pub use harness::{crash_matrix, CrashMatrixParams, CrashMatrixReport, CrashWorkload};
 pub use journal::RecoveryReport;
-pub use layout::{Extent, FileEntry};
+pub use layout::{Extent, FileEntry, Indirect};
 pub use replay::JournaledUfs;

@@ -55,7 +55,8 @@ impl JournaledUfs {
         posix: &PosixTrace,
     ) -> Result<(BlockTrace, crate::fs::WriteAmp), SimError> {
         // Size the device to the trace footprint: per-file high-water
-        // marks, doubled for copy-on-write headroom, plus metadata.
+        // marks, doubled because a commit that rewrites a whole file
+        // holds it twice until the checkpoint, plus metadata.
         let mut high: BTreeMap<u32, u64> = BTreeMap::new();
         for r in &posix.records {
             let e = high.entry(r.file).or_insert(0);
@@ -136,11 +137,13 @@ impl FileSystemModel for JournaledUfs {
     /// Infallible transform for the model interface: the untraced
     /// [`JournaledUfs::transform_observed`], so a replay error yields an
     /// empty trace rather than a panic. The device is sized from the
-    /// trace, but a file holds at most 8 data extents, so a large trace
-    /// does fail: at 256 MiB the replay stops with
-    /// `ResourceExhausted("ufs data extents")`. The model interface
-    /// drops that error until `FileSystemModel::transform` returns a
-    /// `Result`; [`JournaledUfs::transform_with_stats`] returns it.
+    /// trace, and a file's extent list spills to an indirect sector (or
+    /// is rewritten whole when even that is full), so the out-of-core
+    /// traces replay at the paper's 256 MiB and beyond. An error can
+    /// still occur — a device error, or free space too fragmented for a
+    /// commit — and the model interface drops it until
+    /// `FileSystemModel::transform` returns a `Result`;
+    /// [`JournaledUfs::transform_with_stats`] returns it.
     fn transform(&self, posix: &PosixTrace) -> BlockTrace {
         self.transform_observed(posix, &mut simobs::Tracer::off())
     }

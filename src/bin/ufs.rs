@@ -6,14 +6,15 @@
 //! cargo run --release --bin ufs [-- --smoke] [--seed N] [--json PATH]
 //! ```
 //!
-//! Runs the exhaustive crash-point sweep (power loss during every device
+//! Runs the exhaustive crash-point sweeps (power loss during every device
 //! write of a deterministic workload, dropped and torn, each remounted
-//! and verified), compares the model-UFS and journaled-UFS block traces
+//! and verified; one workload of overlay rewrites, one of unaligned
+//! appends), compares the model-UFS and journaled-UFS block traces
 //! on the same device, solves LOBPCG over the UFS-backed panel store,
 //! and finally re-runs the whole study with the same seed to prove the
 //! output is byte-identical. `--smoke` shrinks the workload for CI;
 //! `--json <path>` also writes the study in a stable versioned schema
-//! (`oocnvm.ufs/2`), covered by the same byte-identity check.
+//! (`oocnvm.ufs/3`), covered by the same byte-identity check.
 //!
 //! The study itself lives in [`oocnvm::ufs_study`].
 

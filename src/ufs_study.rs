@@ -18,14 +18,17 @@ use oocnvm_core::format::Table;
 use oocnvm_core::workload::synthetic_ooc_trace;
 use ooctrace::TraceCapture;
 use simobs::json::Json;
-use ufs::{crash_matrix, CrashMatrixParams, UfsParams};
+use ufs::{crash_matrix, CrashMatrixParams, CrashWorkload, UfsParams};
 
-/// Schema tag of the UFS JSON document. Version 2 adds
+/// Schema tag of the UFS JSON document. Version 2 added
 /// `replay.write_amp` — the journaled replay's device bytes decomposed
 /// into user / COW / journal / apply traffic (from
 /// [`ufs::WriteAmp`]), itemising exactly where the replay's written
-/// bytes go. No v1 field was renamed or removed.
-pub const SCHEMA: &str = "oocnvm.ufs/2";
+/// bytes go. Version 3 adds `crash_matrix_appends`, the sweep over
+/// unaligned appends that grow files past the direct extent slots, and
+/// `max_extents` in both sweep blocks. No earlier field was renamed or
+/// removed.
+pub const SCHEMA: &str = "oocnvm.ufs/3";
 
 /// Appends one report line.
 fn line(out: &mut String, s: &str) {
@@ -43,8 +46,10 @@ pub struct UfsReport {
 }
 
 /// Crash-matrix scale for the study: `smoke` shrinks the workload so the
-/// exhaustive sweep stays in CI budget.
-fn matrix_params(seed: u64, smoke: bool) -> CrashMatrixParams {
+/// exhaustive sweep stays in CI budget. The append sweep grows each file
+/// by ten or more commits, past the direct extent slots.
+fn matrix_params(seed: u64, smoke: bool, workload: CrashWorkload) -> CrashMatrixParams {
+    let appends = workload == CrashWorkload::Appends;
     if smoke {
         CrashMatrixParams {
             device_sectors: 512,
@@ -52,15 +57,44 @@ fn matrix_params(seed: u64, smoke: bool) -> CrashMatrixParams {
                 max_files: 8,
                 journal_sectors: 16,
             },
-            files: 2,
-            rounds: 2,
+            workload,
+            files: if appends { 1 } else { 2 },
+            rounds: if appends { 10 } else { 2 },
             payload_bytes: 5000,
             seed,
         }
     } else {
         CrashMatrixParams {
+            workload,
+            rounds: if appends { 12 } else { 2 },
             seed,
             ..CrashMatrixParams::default()
+        }
+    }
+}
+
+/// Runs one exhaustive sweep, appending its report to `out`; returns its
+/// JSON block and whether every case held.
+fn sweep(out: &mut String, params: &CrashMatrixParams) -> (Json, bool) {
+    match crash_matrix(params) {
+        Ok(report) => {
+            out.push_str(&report.render());
+            let j = Json::obj()
+                .field("total_writes", Json::u64(report.total_writes))
+                .field("commits", Json::u64(report.commits))
+                .field("max_extents", Json::u64(report.max_extents))
+                .field("cases", Json::u64(report.cases))
+                .field("cases_replayed", Json::u64(report.cases_replayed))
+                .field("cases_discarded", Json::u64(report.cases_discarded))
+                .field("digest", Json::u64(u64::from(report.digest)));
+            (j, true)
+        }
+        Err(e) => {
+            line(out, &format!("crash matrix FAILED: {e}"));
+            (
+                Json::obj().field("error", Json::str(&format!("{e}"))),
+                false,
+            )
         }
     }
 }
@@ -70,36 +104,32 @@ fn matrix_params(seed: u64, smoke: bool) -> CrashMatrixParams {
 pub fn render_report(seed: u64, smoke: bool) -> UfsReport {
     let mut out = String::new();
 
-    // 1. The exhaustive crash-point sweep: power loss during every
+    // 1. The exhaustive crash-point sweeps: power loss during every
     //    device write of a deterministic workload, dropped and torn,
-    //    each remounted and verified against the committed prefix.
+    //    each remounted and verified against the committed prefix —
+    //    once for overlay rewrites, once for unaligned appends.
     line(&mut out, "== exhaustive crash-point sweep ==");
-    let params = matrix_params(seed, smoke);
-    let (matrix_json, matrix_ok) = match crash_matrix(&params) {
-        Ok(report) => {
-            out.push_str(&report.render());
-            let j = Json::obj()
-                .field("total_writes", Json::u64(report.total_writes))
-                .field("commits", Json::u64(report.commits))
-                .field("cases", Json::u64(report.cases))
-                .field("cases_replayed", Json::u64(report.cases_replayed))
-                .field("cases_discarded", Json::u64(report.cases_discarded))
-                .field("digest", Json::u64(u64::from(report.digest)));
-            (j, true)
-        }
-        Err(e) => {
-            line(&mut out, &format!("crash matrix FAILED: {e}"));
-            (
-                Json::obj().field("error", Json::str(&format!("{e}"))),
-                false,
-            )
-        }
-    };
+    let (matrix_json, overlays_ok) = sweep(
+        &mut out,
+        &matrix_params(seed, smoke, CrashWorkload::Overlays),
+    );
+    line(
+        &mut out,
+        "-- unaligned appends past the direct extent slots --",
+    );
+    let (appends_json, appends_ok) = sweep(
+        &mut out,
+        &matrix_params(seed, smoke, CrashWorkload::Appends),
+    );
     line(
         &mut out,
         &format!(
             "every crash point recovered to the committed prefix: {}",
-            if matrix_ok { "OK" } else { "FAIL" }
+            if overlays_ok && appends_ok {
+                "OK"
+            } else {
+                "FAIL"
+            }
         ),
     );
 
@@ -213,6 +243,7 @@ pub fn render_report(seed: u64, smoke: bool) -> UfsReport {
         .field("seed", Json::u64(seed))
         .field("smoke", Json::Bool(smoke))
         .field("crash_matrix", matrix_json)
+        .field("crash_matrix_appends", appends_json)
         .field(
             "replay",
             Json::obj()
@@ -263,6 +294,18 @@ mod tests {
         assert!(a.json.contains(SCHEMA));
         // The v2 addition: the journal overhead is itemised.
         let doc = simobs::json::parse(&a.json).expect("well-formed");
+        // The v3 addition: the append sweep outgrows the direct slots.
+        let extents = doc
+            .get("crash_matrix_appends")
+            .and_then(|m| m.get("max_extents"));
+        let spilled = |n: &str| {
+            n.parse()
+                .is_ok_and(|e: usize| e > ufs::layout::DIRECT_EXTENTS)
+        };
+        assert!(
+            matches!(extents, Some(Json::Num(n)) if spilled(n)),
+            "v3 carries crash_matrix_appends.max_extents: {extents:?}"
+        );
         let wa = doc
             .get("replay")
             .and_then(|r| r.get("write_amp"))
@@ -273,5 +316,20 @@ mod tests {
         let b = render_report(42, true);
         assert_eq!(a.text, b.text);
         assert_eq!(a.json, b.json);
+    }
+
+    #[test]
+    fn version_2_documents_still_parse_for_consumers() {
+        // A document exactly as oocnvm.ufs/2 emitted it: no append sweep.
+        let v2 = r#"{"format":"oocnvm.ufs/2","seed":42,"smoke":false,"crash_matrix":{"total_writes":43,"commits":6,"cases":86,"cases_replayed":25,"cases_discarded":24,"digest":3650665427},"replay":{"model_requests":17,"model_bytes":16777216,"model_mb_s":2905.155,"journaled_requests":48,"journaled_bytes":34238464,"journaled_mb_s":906.734,"journal_overhead_pct":104.077,"write_amp":{"user_bytes":4194304,"cow_bytes":10760192,"journal_bytes":65536,"apply_bytes":20480,"commits":4,"recovery_replays":0,"device_per_user_permille":2585}},"solver":{"dim":160,"eigenvalues_identical":true,"trace_identical":true}}"#;
+        let doc = simobs::json::parse(v2).expect("v2 documents stay well-formed");
+        assert_eq!(simobs::json::schema_version(&doc), Some(("oocnvm.ufs", 2)));
+        let matrix = doc.get("crash_matrix").expect("shared field");
+        assert_eq!(matrix.get("commits"), Some(&Json::u64(6)));
+        assert!(
+            doc.get("crash_matrix_appends").is_none(),
+            "v2 has no append sweep"
+        );
+        assert_eq!(SCHEMA, "oocnvm.ufs/3");
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests over the UFS read path: a byte-range read of a file
 //! whose content is spread over several extents returns exactly the
 //! matching slice of what was written, from the device (durable) and
-//! from the in-memory staged copy alike.
+//! from a staged overlay (dirty runs merged with durable sectors) alike.
 
 use proptest::prelude::*;
 use ssd::SimBlockDevice;
@@ -78,7 +78,7 @@ proptest! {
             fs.read(id, offset as u64, &mut out).expect("durable read");
             prop_assert_eq!(&out[..], &model[offset..offset + len]);
         }
-        // Staging the overlay reads the whole durable file back first.
+        // Staging the overlay reads back at most its partial head and tail.
         let (offset, len) = clamp(patch);
         let bytes = pattern(len, salt + 1);
         fs.write(id, offset as u64, &bytes).expect("staged write");

@@ -10,14 +10,18 @@
 //! * [`dense`] — the small dense kernels an eigensolver needs (column-major
 //!   matrices, Cholesky, modified Gram–Schmidt, a cyclic Jacobi symmetric
 //!   eigensolver for the Rayleigh–Ritz step);
-//! * [`sparse`] — CSR sparse matrices with rayon-parallel `SpMM`;
+//! * [`sparse`] — CSR sparse matrices and the one `SpMM` row kernel every
+//!   operator application multiplies with, in memory or out of core;
 //! * [`hamiltonian`] — a synthetic sparse symmetric "nuclear CI"
 //!   Hamiltonian generator (banded many-body structure plus scattered
 //!   interaction blocks), substituting for the MFDn matrices the paper
 //!   reads from Carver's storage;
 //! * [`store`] — the out-of-core matrix store: `H` is serialised into row
 //!   panels on a simulated device and every panel read is captured as a
-//!   POSIX-level trace record (§4.2's tracing methodology);
+//!   POSIX-level trace record (§4.2's tracing methodology); a sweep
+//!   multiplies straight from the panel bytes, after one header check
+//!   per panel, and [`ufs_store`] does the same over a journaled UFS
+//!   file;
 //! * [`lobpcg`] — the locally optimal block preconditioned conjugate
 //!   gradient eigensolver [Knyazev '01], reading `H` through the store
 //!   each iteration;

@@ -42,9 +42,23 @@ impl Operator for CsrMatrix {
     }
 }
 
+/// The block an out-of-core operator returns when its panel sweep fails
+/// ([`Operator::apply`] cannot return an error): all NaN, so the solve
+/// ends unconverged with NaN Ritz values. A zero block would instead
+/// "converge" at once on eigenvalue 0 — a silent wrong answer.
+pub(crate) fn failed_apply(x: &DMatrix) -> DMatrix {
+    DMatrix {
+        nrows: x.nrows,
+        ncols: x.ncols,
+        data: vec![f64::NAN; x.data.len()],
+    }
+}
+
 /// An [`OocMatrix`] applied through a trace sink — every operator
 /// application streams the full serialised Hamiltonian and records the
-/// POSIX-level reads.
+/// POSIX-level reads. A panel that fails its header check makes the
+/// application return an all-NaN block, which a caller observes as an
+/// unconverged solve with NaN Ritz values.
 pub struct TracedOperator<'a> {
     matrix: &'a OocMatrix,
     sink: &'a dyn TraceSink,
@@ -75,7 +89,9 @@ impl Operator for TracedOperator<'_> {
     }
 
     fn apply(&self, x: &DMatrix) -> DMatrix {
-        self.matrix.spmm_traced(x, self.sink)
+        self.matrix
+            .spmm_traced(x, self.sink)
+            .unwrap_or_else(|_| failed_apply(x))
     }
 
     fn diagonal(&self) -> Option<Vec<f64>> {

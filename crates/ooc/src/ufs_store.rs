@@ -11,8 +11,9 @@
 //! simulated power loss (see `ufs::harness`).
 
 use crate::dense::DMatrix;
+use crate::lobpcg::failed_apply;
 use crate::sparse::CsrMatrix;
-use crate::store::{decode_panel, serialize_panels, CsrPanel, PanelMeta};
+use crate::store::{decode_panel, serialize_panels, CsrPanel, PanelMeta, PanelSweep};
 use nvmtypes::convert::usize_from;
 use nvmtypes::{IoOp, SimError};
 use ooctrace::TraceSink;
@@ -88,25 +89,35 @@ impl UfsMatrix {
     }
 
     /// Reads and deserialises panel `idx` through the filesystem,
-    /// recording the access.
+    /// recording the access. A filesystem error propagates; a panel whose
+    /// bytes fail the header check is [`SimError::Corruption`].
     pub fn read_panel(&self, idx: usize, sink: &dyn TraceSink) -> Result<CsrPanel, SimError> {
         let meta = self.panels[idx];
         sink.record(IoOp::Read, self.file_id, meta.offset, meta.len);
         let mut buf = vec![0u8; usize_from(meta.len)];
         self.fs.lock().read(self.file, meta.offset, &mut buf)?;
-        Ok(decode_panel(&buf, meta.row_start))
+        decode_panel(&buf, &meta)
     }
 
     /// Out-of-core SpMM through the filesystem: streams every panel in
-    /// storage order, like [`crate::OocMatrix::spmm_traced`].
+    /// storage order into one read buffer sized to the largest panel and
+    /// multiplies it with the shared row kernel, like
+    /// [`crate::OocMatrix::spmm_traced`]. A filesystem error or a panel
+    /// that fails its header check ([`SimError::Corruption`]) stops the
+    /// sweep.
     pub fn spmm_traced(&self, x: &DMatrix, sink: &dyn TraceSink) -> Result<DMatrix, SimError> {
         assert_eq!(x.nrows, self.n, "operand height mismatch");
-        let mut y = DMatrix::zeros(self.n, x.ncols);
-        for idx in 0..self.panels.len() {
-            let panel = self.read_panel(idx, sink)?;
-            panel.spmm_into(x, &mut y);
+        let largest = self.panels.iter().map(|p| p.len).max().unwrap_or(0);
+        let mut buf = vec![0u8; usize_from(largest)];
+        let mut sweep = PanelSweep::new(x);
+        let mut fs = self.fs.lock();
+        for meta in &self.panels {
+            sink.record(IoOp::Read, self.file_id, meta.offset, meta.len);
+            let buf = &mut buf[..usize_from(meta.len)];
+            fs.read(self.file, meta.offset, buf)?;
+            sweep.apply(buf, meta)?;
         }
-        Ok(y)
+        Ok(sweep.finish())
     }
 
     /// Tears the store down to its raw device image (consuming it) — the
@@ -117,11 +128,11 @@ impl UfsMatrix {
 }
 
 /// A [`UfsMatrix`] applied through a trace sink, for driving LOBPCG:
-/// the journaled twin of [`crate::lobpcg::TracedOperator`]. A filesystem
-/// read error inside [`crate::lobpcg::Operator::apply`] (impossible on a
-/// healthy store — the file was written by `build`) yields a zero block
-/// rather than a panic, which a caller observes as a non-converging
-/// solve.
+/// the journaled twin of [`crate::lobpcg::TracedOperator`]. A failed
+/// sweep inside [`crate::lobpcg::Operator::apply`] (a filesystem error or
+/// a corrupt panel; impossible on a healthy store, whose file `build`
+/// wrote) yields an all-NaN block rather than a panic, which a caller
+/// observes as an unconverged solve with NaN Ritz values.
 pub struct UfsOperator<'a> {
     matrix: &'a UfsMatrix,
     sink: &'a dyn TraceSink,
@@ -154,7 +165,7 @@ impl crate::lobpcg::Operator for UfsOperator<'_> {
     fn apply(&self, x: &DMatrix) -> DMatrix {
         self.matrix
             .spmm_traced(x, self.sink)
-            .unwrap_or_else(|_| DMatrix::zeros(self.matrix.n, x.ncols))
+            .unwrap_or_else(|_| failed_apply(x))
     }
 
     fn diagonal(&self) -> Option<Vec<f64>> {
@@ -180,7 +191,7 @@ mod tests {
         assert_eq!(mem.bytes(), fsm.bytes());
         let cap = TraceCapture::new();
         for idx in 0..fsm.panels.len() {
-            let a = mem.read_panel(idx, &cap);
+            let a = mem.read_panel(idx, &cap).expect("decodes");
             let b = fsm.read_panel(idx, &cap).expect("reads");
             assert_eq!(a, b);
         }
@@ -193,7 +204,7 @@ mod tests {
         let mem = OocMatrix::build(&h, 13, 4, Some(&cap_mem));
         let fsm = UfsMatrix::build(&h, 13, 4, Some(&cap_fs)).expect("builds");
         let x = DMatrix::zeros(120, 2);
-        mem.spmm_traced(&x, &cap_mem);
+        mem.spmm_traced(&x, &cap_mem).expect("sweeps");
         fsm.spmm_traced(&x, &cap_fs).expect("sweeps");
         assert_eq!(cap_mem.into_trace(), cap_fs.into_trace());
     }
@@ -214,6 +225,28 @@ mod tests {
         // Bit-identical: both paths feed the solver the same panel bytes.
         assert_eq!(a.eigenvalues, b.eigenvalues);
         assert_eq!(cap_mem.into_trace(), cap_fs.into_trace());
+    }
+
+    #[test]
+    fn a_corrupt_panel_is_a_typed_error_on_the_filesystem_path() {
+        let h = HamiltonianSpec::tiny(64).generate();
+        let mut fsm = UfsMatrix::build(&h, 16, 0, None).expect("builds");
+        fsm.panels[1].len -= 8;
+        let cap = TraceCapture::new();
+        let corrupt = |r: Result<_, SimError>| matches!(r, Err(SimError::Corruption { .. }));
+        assert!(fsm.read_panel(0, &cap).is_ok());
+        assert!(corrupt(fsm.read_panel(1, &cap).map(|_| ())));
+        assert!(corrupt(
+            fsm.spmm_traced(&DMatrix::zeros(64, 2), &cap).map(|_| ())
+        ));
+        let opts = LobpcgOptions {
+            block_size: 2,
+            max_iters: 20,
+            ..LobpcgOptions::default()
+        };
+        let res = Lobpcg::new(opts).solve(&UfsOperator::new(&fsm, &cap));
+        assert!(!res.converged);
+        assert!(res.eigenvalues.iter().all(|v| v.is_nan()));
     }
 
     #[test]

@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 /// Canonical paths of the declared hot roots. A root is the entry of a
 /// code region that runs once per *event stream*: everything it calls
 /// from inside a loop runs once per event.
-pub const HOT_ROOTS: [&str; 7] = [
+pub const HOT_ROOTS: [&str; 9] = [
     // The media service loop: every die-op goes through here.
     "flashsim::engine::MediaSim::execute",
     "flashsim::engine::MediaSim::execute_traced",
@@ -57,6 +57,11 @@ pub const HOT_ROOTS: [&str; 7] = [
     // the static call graph cannot see through; it is the dominant
     // trace transform, so it is declared hot explicitly.
     "ufs::replay::JournaledUfs::transform_with_stats",
+    // The out-of-core operator applications: every LOBPCG iteration
+    // streams every panel through one of these, so a per-panel
+    // allocation in either sweep is a per-event finding.
+    "ooc::store::OocMatrix::spmm_traced",
+    "ooc::ufs_store::UfsMatrix::spmm_traced",
 ];
 
 /// How often a hot-reachable allocation site executes.

@@ -44,7 +44,9 @@ fn main() {
         let ooc = ooc.clone();
         let cap = Arc::clone(&capture);
         prefetcher.prefetch(&format!("panel/{idx}"), move || {
-            let p = ooc.read_panel(idx, &*cap);
+            let p = ooc
+                .read_panel(idx, &*cap)
+                .expect("the store decodes its own panels");
             // Store the values back as bytes (the pool holds raw arrays).
             p.values.iter().flat_map(|v| v.to_le_bytes()).collect()
         });
@@ -73,7 +75,9 @@ fn main() {
         let cap = Arc::clone(&capture);
         let id = graph.add_task_with_inputs(&name, &[], &[&name.clone()], move || {
             let data = pool.get_or_load(&key, || {
-                let p = ooc.read_panel(idx, &*cap);
+                let p = ooc
+                    .read_panel(idx, &*cap)
+                    .expect("the store decodes its own panels");
                 p.values.iter().flat_map(|v| v.to_le_bytes()).collect()
             });
             let s = summarise(&data);
@@ -118,7 +122,9 @@ fn main() {
                 .get(&format!("panel/{idx}"))
                 .map(|a| a.to_vec())
                 .unwrap_or_else(|| {
-                    let p = ooc.read_panel(idx, &*capture);
+                    let p = ooc
+                        .read_panel(idx, &*capture)
+                        .expect("the store decodes its own panels");
                     p.values.iter().flat_map(|v| v.to_le_bytes()).collect()
                 });
             bytes::Bytes::from(data)

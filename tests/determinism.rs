@@ -209,6 +209,55 @@ fn reports_are_byte_identical_at_every_thread_count() {
 }
 
 #[test]
+fn streamed_lobpcg_is_bit_identical_at_every_thread_count() {
+    // The in-memory operator fans SpMM row blocks out on the pool; both
+    // streamed operators multiply the same panel bytes with the same
+    // row kernel. Eigenpairs and captured reads must not see the worker
+    // count, and all three operators must agree bit for bit.
+    use ooc::lobpcg::{Lobpcg, LobpcgOptions, TracedOperator};
+    use ooc::{HamiltonianSpec, OocMatrix, UfsMatrix, UfsOperator};
+    use ooctrace::TraceCapture;
+    let _guard = ENV_LOCK.lock().unwrap();
+    let h = HamiltonianSpec::tiny(600).generate();
+    let diag: Vec<f64> = (0..h.n).map(|i| h.get(i, i)).collect();
+    let mem = OocMatrix::build(&h, 64, 0, None);
+    let fsm = UfsMatrix::build(&h, 64, 0, None).unwrap();
+    let solver = Lobpcg::new(LobpcgOptions {
+        block_size: 4,
+        max_iters: 40,
+        tol: 1e-7,
+        seed: 5,
+        precondition: true,
+    });
+    let bits = |r: &ooc::LobpcgResult| {
+        let vals: Vec<u64> = r.eigenvalues.iter().map(|v| v.to_bits()).collect();
+        let vecs: Vec<u64> = r.eigenvectors.data.iter().map(|v| v.to_bits()).collect();
+        (vals, vecs, r.iterations)
+    };
+    let runs: Vec<_> = [1usize, 2, 8]
+        .into_iter()
+        .map(|n| {
+            with_threads(n, || {
+                let in_memory = bits(&solver.solve(&h));
+                let (cap_mem, cap_fs) = (TraceCapture::new(), TraceCapture::new());
+                let op = TracedOperator::new(&mem, &cap_mem).with_diagonal(diag.clone());
+                let traced = bits(&solver.solve(&op));
+                let op = UfsOperator::new(&fsm, &cap_fs).with_diagonal(diag.clone());
+                let on_ufs = bits(&solver.solve(&op));
+                assert_eq!(traced, in_memory, "{n} threads: streamed != in-memory");
+                assert_eq!(on_ufs, in_memory, "{n} threads: UFS != in-memory");
+                let trace = cap_mem.into_trace();
+                assert_eq!(trace, cap_fs.into_trace(), "{n} threads: captures differ");
+                (in_memory, trace)
+            })
+        })
+        .collect();
+    assert!(!runs[0].1.records.is_empty());
+    assert_eq!(runs[0], runs[1], "LOBPCG diverged between 1 and 2 threads");
+    assert_eq!(runs[0], runs[2], "LOBPCG diverged between 1 and 8 threads");
+}
+
+#[test]
 fn ufs_study_is_byte_identical_at_every_thread_count() {
     // The crash matrix fans every (crash point, torn/dropped) case out
     // on the pool; the recovery report and digest must not see the

@@ -145,8 +145,10 @@ fn preload_then_iterate_write_then_read() {
     let ooc = OocMatrix::build(&h, 125, 0, Some(&cap));
     // Two read sweeps after the preload.
     let x = ooc::DMatrix::zeros(h.n, 4);
-    ooc.spmm_traced(&x, &cap);
-    ooc.spmm_traced(&x, &cap);
+    for _ in 0..2 {
+        ooc.spmm_traced(&x, &cap)
+            .expect("the sweep reads healthy panels");
+    }
     let trace = cap.into_trace();
     assert!(trace.read_fraction() > 0.6 && trace.read_fraction() < 0.7);
 

@@ -114,7 +114,7 @@ proptest! {
         let mut nnz = 0usize;
         let mut rows = 0usize;
         for idx in 0..ooc.panels.len() {
-            let p = ooc.read_panel(idx, &cap);
+            let p = ooc.read_panel(idx, &cap).expect("the store decodes its own panels");
             nnz += p.values.len();
             rows += p.rows();
         }
@@ -135,7 +135,7 @@ proptest! {
             *v = ((i * 2654435761) % 1000) as f64 / 500.0 - 1.0;
         }
         let cap = TraceCapture::new();
-        let y = ooc.spmm_traced(&x, &cap);
+        let y = ooc.spmm_traced(&x, &cap).expect("the sweep reads healthy panels");
         let want = h.spmm(&x);
         for i in 0..n {
             for j in 0..cols {

@@ -1,9 +1,5 @@
-//! The eight classic rules, re-implemented over token trees and the
-//! AST instead of per-line substring scans.
-//!
-//! Messages are byte-identical with the legacy engine in `rules` (the
-//! selftests compare the two), but the matching is structural, which
-//! kills the remaining false-positive/negative classes:
+//! The eight per-file rules, matched over token trees and the AST
+//! rather than over source text, so that:
 //!
 //! * tokens split across lines (`.unwrap\n()`, `x as\n    u64`) are
 //!   seen as one construct;
@@ -21,11 +17,32 @@ use crate::rules::{Finding, Rule, WATCHED_ENUMS};
 /// Panicking macro names for [`Rule::NoPanic`].
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
-/// Numeric cast targets for [`Rule::BareCast`] (mirrors the legacy
-/// list: `u8` stays exempt — it is the byte type, not a unit).
+/// Numeric cast targets for [`Rule::BareCast`] (`u8` stays exempt: it
+/// is the byte type, not a unit).
 const CAST_TARGETS: [&str; 9] = [
     "u16", "u32", "u64", "u128", "usize", "i64", "i128", "f32", "f64",
 ];
+
+/// Runs one per-file rule. The workspace-wide passes (taint, units,
+/// concurrency, hotpath) need the cross-file index and yield nothing
+/// here; `scan_workspace` runs them.
+pub fn run(rule: Rule, clean: &CleanFile, trees: &[Tree], file: &File) -> Vec<Finding> {
+    match rule {
+        Rule::NoPanic => no_panic(clean, trees),
+        Rule::NondeterministicCollection => nondeterministic_collection(clean, trees),
+        Rule::WallClock => wall_clock(clean, trees),
+        Rule::BareCast => bare_cast(clean, trees),
+        Rule::EnumWildcard => enum_wildcard(clean, file),
+        Rule::LetUnderscoreResult => let_underscore_result(clean, trees),
+        Rule::NoPrintlnInLib => no_println_in_lib(clean, trees),
+        Rule::ThreadSpawn => thread_spawn(clean, trees, file),
+        Rule::NondetTaint
+        | Rule::UnitMismatch
+        | Rule::AtomicOrdering
+        | Rule::LockOrder
+        | Rule::HotPathAlloc => Vec::new(),
+    }
+}
 
 fn in_test(clean: &CleanFile, span: Span) -> bool {
     clean
@@ -198,7 +215,7 @@ fn in_use_statement(slice: &[Tree], i: usize) -> bool {
 }
 
 /// Direct `thread::spawn(..)` calls, plus calls through a `use`-import
-/// of `spawn` (possibly aliased) — the dodge the legacy rule missed.
+/// of `spawn` (possibly aliased).
 pub fn thread_spawn(clean: &CleanFile, trees: &[Tree], ast: &File) -> Vec<Finding> {
     // Names bound to `std::thread::spawn` by imports in this file.
     let mut spawn_aliases: Vec<String> = Vec::new();
@@ -359,165 +376,208 @@ mod tests {
     use super::*;
     use crate::lexer::clean_source;
     use crate::parser::parse_trees;
-    use crate::rules;
 
-    fn prep(src: &str) -> (CleanFile, Vec<Tree>, File) {
+    /// Runs one rule over `src`, as `scan_source` does.
+    fn hits(rule: Rule, src: &str) -> Vec<Finding> {
         let clean = clean_source(src);
         let trees = parse_trees(&clean);
         let file = ast::parse_file(&trees);
-        (clean, trees, file)
+        run(rule, &clean, &trees, &file)
     }
 
-    /// The AST port must agree with the legacy engine on everything the
-    /// legacy engine can see (messages included, byte for byte).
+    /// The exact report text of every per-file rule, in finding order.
     #[test]
-    fn agrees_with_legacy_on_single_line_constructs() {
-        let src = "fn f() { x.unwrap(); y.expect(\"m\"); panic!(\"n\"); }\n\
-                   fn g() { let m: HashMap<u32, u32> = HashMap::new(); }\n\
-                   fn h() { let t = Instant::now(); let s = SystemTime::now(); }\n\
-                   fn i(x: u32) -> u64 { x as u64 }\n\
-                   fn j() { let _ = k(); println!(\"x\"); std::thread::spawn(|| {}); }\n";
-        let (clean, trees, file) = prep(src);
-        let pairs: Vec<(Vec<Finding>, Vec<Finding>)> = vec![
-            (no_panic(&clean, &trees), rules::no_panic(&clean)),
+    fn per_file_rule_messages_are_pinned() {
+        let cases: [(Rule, &str, &[(usize, &str)]); 8] = [
             (
-                nondeterministic_collection(&clean, &trees),
-                rules::nondeterministic_collection(&clean),
-            ),
-            (wall_clock(&clean, &trees), rules::wall_clock(&clean)),
-            (bare_cast(&clean, &trees), rules::bare_cast(&clean)),
-            (
-                let_underscore_result(&clean, &trees),
-                rules::let_underscore_result(&clean),
+                Rule::NoPanic,
+                "fn f() { x.unwrap(); y.expect(\"m\"); panic!(\"n\"); }\n",
+                &[
+                    (1, "`unwrap()` can panic; return a typed error or use a non-panicking accessor"),
+                    (1, "`expect` can panic; return a typed error or use a non-panicking accessor"),
+                    (1, "`panic!` can panic; return a typed error or use a non-panicking accessor"),
+                ],
             ),
             (
-                no_println_in_lib(&clean, &trees),
-                rules::no_println_in_lib(&clean),
+                Rule::NondeterministicCollection,
+                "fn g() { let m: HashMap<u32, u32> = x; let s: HashSet<u8> = y; }\n",
+                &[
+                    (1, "`HashMap` iteration order is nondeterministic; use `BTreeMap` or a sorted drain"),
+                    (1, "`HashSet` iteration order is nondeterministic; use `BTreeSet` or a sorted drain"),
+                ],
             ),
             (
-                thread_spawn(&clean, &trees, &file),
-                rules::thread_spawn(&clean),
+                Rule::WallClock,
+                "fn h() { let t = Instant::now(); let s = SystemTime::now(); }\n",
+                &[
+                    (1, "`Instant::now` breaks reproducibility; simulators must use simulated time and seeded RNGs"),
+                    (1, "`SystemTime` breaks reproducibility; simulators must use simulated time and seeded RNGs"),
+                ],
+            ),
+            (
+                Rule::BareCast,
+                "fn i(x: u32) -> u64 { x as u64 }\n",
+                &[(1, "bare `as u64` cast in unit arithmetic; use `u64::from`/`f64::from` for lossless widening or the audited helpers in `nvmtypes::convert` (`usize_from`, `u64_from_usize`, `approx_f64`, `trunc_u64`, `try_u32`)")],
+            ),
+            (
+                Rule::EnumWildcard,
+                "fn f(k: NvmKind) -> u32 {\n match k {\n  NvmKind::Slc => 1,\n  _ => 0,\n }\n}\n",
+                &[(4, "wildcard `_ =>` arm on a watched enum; list every variant so new media kinds cannot silently fall through")],
+            ),
+            (
+                Rule::LetUnderscoreResult,
+                "fn j() { let _ = k(); }\n",
+                &[(1, "`let _ = ..` silently discards the value — and any `Err` in it; handle or propagate the `Result`, or make a deliberate discard explicit with `drop(..)`")],
+            ),
+            (
+                // `eprintln!` is not also counted as `println!`; the
+                // comment and the test module are exempt.
+                Rule::NoPrintlnInLib,
+                "fn f() { println!(\"x\"); eprintln!(\"y\"); }\n// println!(\"z\")\n#[cfg(test)]\nmod t {\n fn g() { println!(\"t\"); }\n}\n",
+                &[
+                    (1, "`println!` in library code; return or render a `String` and let the binary print it"),
+                    (1, "`eprintln!` in library code; return or render a `String` and let the binary print it"),
+                ],
+            ),
+            (
+                Rule::ThreadSpawn,
+                "fn j() { std::thread::spawn(|| {}); }\n",
+                &[(1, "direct `thread::spawn` bypasses the vendored work-sharing pool; use `rayon::par_iter`/`join` so `RAYON_NUM_THREADS` and the ordered-collect determinism contract apply (docs/PARALLELISM.md)")],
             ),
         ];
-        for (ast_hits, legacy_hits) in pairs {
-            assert_eq!(
-                ast_hits.len(),
-                legacy_hits.len(),
-                "{ast_hits:?}\n{legacy_hits:?}"
-            );
-            for (a, l) in ast_hits.iter().zip(&legacy_hits) {
-                assert_eq!(a.message, l.message);
-                assert_eq!(a.line, l.line);
-            }
+        for (rule, src, want) in cases {
+            let found = hits(rule, src);
+            let got: Vec<(usize, &str)> =
+                found.iter().map(|f| (f.line, f.message.as_str())).collect();
+            assert_eq!(got, want, "{}", rule.id());
         }
     }
 
+    /// Each row: a rule, a source, and the lines it must flag.
     #[test]
-    fn multiline_unwrap_is_caught_where_legacy_misses() {
-        let src = "fn f() {\n  x\n    .unwrap\n    ();\n}\n";
-        let (clean, trees, _) = prep(src);
-        assert!(rules::no_panic(&clean).is_empty(), "legacy blind spot");
-        let hits = no_panic(&clean, &trees);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].line, 3);
-    }
-
-    #[test]
-    fn multiline_cast_is_caught_where_legacy_misses() {
-        let src = "fn f(x: u32) -> u64 {\n  x as\n    u64\n}\n";
-        let (clean, trees, _) = prep(src);
-        assert!(rules::bare_cast(&clean).is_empty(), "legacy blind spot");
-        let hits = bare_cast(&clean, &trees);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-    }
-
-    #[test]
-    fn imported_spawn_is_caught_where_legacy_misses() {
-        let src = "use std::thread::spawn;\nfn f() { spawn(|| {}); }\n";
-        let (clean, trees, file) = prep(src);
-        assert!(rules::thread_spawn(&clean).is_empty(), "legacy blind spot");
-        let hits = thread_spawn(&clean, &trees, &file);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].line, 2);
-    }
-
-    #[test]
-    fn aliased_spawn_import_is_caught() {
-        let src = "use std::thread::spawn as go;\nfn f() { go(|| {}); }\n";
-        let (clean, trees, file) = prep(src);
-        let hits = thread_spawn(&clean, &trees, &file);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-    }
-
-    #[test]
-    fn scoped_spawn_and_use_alias_do_not_fire() {
-        let src = "use std::thread::spawn as go;\nfn f(scope: &S) { scope.go(|| {}); }\n";
-        let (clean, trees, file) = prep(src);
-        assert!(thread_spawn(&clean, &trees, &file).is_empty());
-    }
-
-    #[test]
-    fn linked_hash_map_is_not_flagged() {
-        let src = "fn f() { let m = LinkedHashMap::new(); let t = SystemTimeline::new(); }\n";
-        let (clean, trees, _) = prep(src);
-        assert!(nondeterministic_collection(&clean, &trees).is_empty());
-        assert!(wall_clock(&clean, &trees).is_empty());
-    }
-
-    #[test]
-    fn use_as_alias_is_not_a_cast() {
-        let src = "use foo::bar as u64_helper;\nfn f() {}\n";
-        let (clean, trees, _) = prep(src);
-        assert!(bare_cast(&clean, &trees).is_empty());
-    }
-
-    #[test]
-    fn enum_wildcard_matches_legacy_on_fixtures() {
-        for (src, want) in [
+    fn per_file_rules_flag_exactly_these_lines() {
+        let cases: &[(Rule, &str, &[usize])] = &[
+            // no_panic: test modules, comments and strings are exempt;
+            // an unwrap split across lines is still one call.
             (
+                Rule::NoPanic,
+                "fn f() { x.unwrap(); }\n#[cfg(test)]\nmod t {\n fn g() { y.unwrap(); }\n}\n",
+                &[1],
+            ),
+            (Rule::NoPanic, "// x.unwrap()\nlet s = \"panic!(\"; \n", &[]),
+            (Rule::NoPanic, "fn f() {\n  x\n    .unwrap\n    ();\n}\n", &[3]),
+            // nondeterministic_collection: `BTreeMap` and longer names
+            // that merely contain `HashMap` are spared.
+            (
+                Rule::NondeterministicCollection,
+                "use std::collections::{BTreeMap, HashMap};\n",
+                &[1],
+            ),
+            (
+                Rule::NondeterministicCollection,
+                "fn f() { let m = LinkedHashMap::new(); }\n",
+                &[],
+            ),
+            (
+                Rule::WallClock,
+                "fn f() { let t = SystemTimeline::new(); }\n",
+                &[],
+            ),
+            // bare_cast: only the numeric targets (`u8` exempt), a cast
+            // split across lines, never a `use .. as` alias.
+            (
+                Rule::BareCast,
+                "let a = x as u64; let b = y as MyType; let c = z as u8;\n",
+                &[1],
+            ),
+            (Rule::BareCast, "fn f(x: u32) -> u64 {\n  x as\n    u64\n}\n", &[2]),
+            (Rule::BareCast, "use foo::bar as u64_helper;\nfn f() {}\n", &[]),
+            // let_underscore_result: only the bare `_` pattern; named
+            // and typed discards, comments, strings, test modules and
+            // `outlet _` are not discards.
+            (
+                Rule::LetUnderscoreResult,
+                "fn f() {\n let _ = tx.send(1);\n let _guard = lock();\n let _: u32 = g();\n let x = h();\n}\n",
+                &[2],
+            ),
+            (
+                Rule::LetUnderscoreResult,
+                "// let _ = a();\nconst S: &str = \"let _ = b()\";\n#[cfg(test)]\nmod t {\n fn g() { let _ = c(); }\n}\n",
+                &[],
+            ),
+            (Rule::LetUnderscoreResult, "fn f() { outlet _ = 1; }\n", &[]),
+            // thread_spawn: direct and `use`-imported spawns (aliased
+            // too); scoped spawns, comments and test modules are not.
+            (
+                Rule::ThreadSpawn,
+                "fn f() { std::thread::spawn(|| {}); scope.spawn(|| {}); }\n// thread::spawn(..)\n#[cfg(test)]\nmod t {\n fn g() { std::thread::spawn(|| {}); }\n}\n",
+                &[1],
+            ),
+            (
+                Rule::ThreadSpawn,
+                "use std::thread::spawn;\nfn f() { spawn(|| {}); }\n",
+                &[2],
+            ),
+            (
+                Rule::ThreadSpawn,
+                "use std::thread::spawn as go;\nfn f() { go(|| {}); }\n",
+                &[2],
+            ),
+            (
+                Rule::ThreadSpawn,
+                "use std::thread::spawn as go;\nfn f(scope: &S) { scope.go(|| {}); }\n",
+                &[],
+            ),
+            // enum_wildcard: the lone top-level `_` arm of a match on,
+            // or classifying into, a watched enum; guards and block
+            // bodies parse, and a nested tuple `_` is not a wildcard arm.
+            (
+                Rule::EnumWildcard,
                 "fn f(k: NvmKind) -> u32 {\n match k {\n  NvmKind::Slc => 1,\n  _ => 0,\n }\n}\n",
-                1,
+                &[4],
             ),
             (
+                Rule::EnumWildcard,
                 "fn f(n: u8) -> u32 {\n match n {\n  0 => 1,\n  _ => 0,\n }\n}\n",
-                0,
+                &[],
             ),
             (
+                Rule::EnumWildcard,
                 "fn f(k: IoOp) -> u32 {\n match k {\n  IoOp::Read => 1,\n  IoOp::Write => 2,\n }\n}\n",
-                0,
+                &[],
             ),
             (
+                Rule::EnumWildcard,
                 "fn f(i: u32) -> PageClass {\n match i % 3 {\n  0 => PageClass::Lsb,\n  1 => PageClass::Csb,\n  _ => PageClass::Msb,\n }\n}\n",
-                1,
+                &[5],
             ),
             (
+                Rule::EnumWildcard,
                 "fn f(k: IoOp) -> u32 {\n match (k, 1) {\n  (IoOp::Read, _) => 1,\n  (IoOp::Write, _) => 2,\n }\n}\n",
-                0,
+                &[],
             ),
             (
+                Rule::EnumWildcard,
                 "fn f(k: OpKind, n: u8) -> u32 {\n match (k, n) {\n  (OpKind::Read, x) if x > 3 => { 1 }\n  (OpKind::Write, _) => 2,\n  _ => 3,\n }\n}\n",
-                1,
+                &[5],
             ),
-        ] {
-            let (clean, _, file) = prep(src);
-            let ast_hits = enum_wildcard(&clean, &file);
-            let legacy_hits = rules::enum_wildcard(&clean);
-            assert_eq!(ast_hits.len(), want, "{src}\n{ast_hits:?}");
-            assert_eq!(legacy_hits.len(), want, "legacy drifted: {src}");
-            for (a, l) in ast_hits.iter().zip(&legacy_hits) {
-                assert_eq!(a.line, l.line, "{src}");
-                assert_eq!(a.message, l.message);
-            }
+        ];
+        for (rule, src, want) in cases {
+            let got: Vec<usize> = hits(*rule, src).iter().map(|f| f.line).collect();
+            assert_eq!(&got, want, "{}: {src}", rule.id());
         }
     }
 
     #[test]
     fn string_and_comment_false_positives_stay_dead() {
         let src = "// x.unwrap()\nconst S: &str = \"panic!( let _ = a() as u64 HashMap\";\n";
-        let (clean, trees, _) = prep(src);
-        assert!(no_panic(&clean, &trees).is_empty());
-        assert!(bare_cast(&clean, &trees).is_empty());
-        assert!(let_underscore_result(&clean, &trees).is_empty());
-        assert!(nondeterministic_collection(&clean, &trees).is_empty());
+        for rule in [
+            Rule::NoPanic,
+            Rule::BareCast,
+            Rule::LetUnderscoreResult,
+            Rule::NondeterministicCollection,
+        ] {
+            assert!(hits(rule, src).is_empty(), "{}", rule.id());
+        }
     }
 }

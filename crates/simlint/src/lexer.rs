@@ -19,15 +19,11 @@ pub struct CleanLine {
     pub in_test: bool,
 }
 
-/// A cleaned file: per-line view plus the concatenated text for
-/// multi-line (match-block) scanning.
+/// A cleaned file, one entry per source line.
 #[derive(Debug)]
 pub struct CleanFile {
     /// Cleaned lines, 0-indexed (line `i` is source line `i + 1`).
     pub lines: Vec<CleanLine>,
-    /// All cleaned lines joined with `\n`, test regions *included*
-    /// (callers needing test-exclusion consult [`CleanFile::lines`]).
-    pub text: String,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,7 +41,6 @@ enum State {
 pub fn clean_source(src: &str) -> CleanFile {
     let mut state = State::Code;
     let mut lines: Vec<CleanLine> = Vec::new();
-    let mut cleaned_all = String::with_capacity(src.len());
 
     // cfg(test) region tracking over the cleaned stream.
     let mut brace_depth: i64 = 0;
@@ -216,15 +211,10 @@ pub fn clean_source(src: &str) -> CleanFile {
                 pending_test = true;
             }
         }
-        cleaned_all.push_str(&out);
-        cleaned_all.push('\n');
         lines.push(CleanLine { text: out, in_test });
     }
 
-    CleanFile {
-        lines,
-        text: cleaned_all,
-    }
+    CleanFile { lines }
 }
 
 /// Is the char before `i` part of an identifier (so `r`/`b` is a suffix
@@ -290,43 +280,54 @@ fn is_char_literal(bytes: &[char], i: usize) -> bool {
 mod tests {
     use super::*;
 
+    /// The cleaned lines joined back into one text.
+    fn cleaned(src: &str) -> String {
+        let lines: Vec<String> = clean_source(src)
+            .lines
+            .into_iter()
+            .map(|l| l.text)
+            .collect();
+        lines.join("\n")
+    }
+
     #[test]
     fn strips_line_and_block_comments() {
-        let f = clean_source("let x = 1; // unwrap()\n/* panic!() */ let y = 2;");
-        assert!(f.lines[0].text.contains("let x = 1;"));
-        assert!(!f.text.contains("unwrap"));
-        assert!(!f.text.contains("panic"));
-        assert!(f.lines[1].text.contains("let y = 2;"));
+        let text = cleaned("let x = 1; // unwrap()\n/* panic!() */ let y = 2;");
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[0].contains("let x = 1;"));
+        assert!(!text.contains("unwrap"));
+        assert!(!text.contains("panic"));
+        assert!(lines[1].contains("let y = 2;"));
     }
 
     #[test]
     fn strips_nested_block_comments() {
-        let f = clean_source("a /* x /* y */ z */ b");
-        assert!(f.text.contains('a') && f.text.contains('b'));
-        assert!(!f.text.contains('y') && !f.text.contains('z'));
+        let text = cleaned("a /* x /* y */ z */ b");
+        assert!(text.contains('a') && text.contains('b'));
+        assert!(!text.contains('y') && !text.contains('z'));
     }
 
     #[test]
     fn blanks_string_contents() {
-        let f = clean_source(r#"let s = "call .unwrap() now"; s.len();"#);
-        assert!(!f.text.contains("unwrap"));
-        assert!(f.text.contains("s.len()"));
+        let text = cleaned(r#"let s = "call .unwrap() now"; s.len();"#);
+        assert!(!text.contains("unwrap"));
+        assert!(text.contains("s.len()"));
     }
 
     #[test]
     fn blanks_raw_strings_with_fences() {
-        let f = clean_source(r###"let s = r#"has "quotes" and panic!()"#; x();"###);
-        assert!(!f.text.contains("panic"));
-        assert!(f.text.contains("x()"));
+        let text = cleaned(r###"let s = r#"has "quotes" and panic!()"#; x();"###);
+        assert!(!text.contains("panic"));
+        assert!(text.contains("x()"));
     }
 
     #[test]
     fn char_literals_and_lifetimes() {
-        let f = clean_source("fn f<'a>(x: &'a str) { let q = '\"'; let n = '\\n'; g(x) }");
-        assert!(f.text.contains("fn f<'a>"));
-        assert!(f.text.contains("g(x)"));
+        let text = cleaned("fn f<'a>(x: &'a str) { let q = '\"'; let n = '\\n'; g(x) }");
+        assert!(text.contains("fn f<'a>"));
+        assert!(text.contains("g(x)"));
         // The quote inside the char literal must not open a string.
-        assert!(f.text.contains("let n ="));
+        assert!(text.contains("let n ="));
     }
 
     #[test]
@@ -341,8 +342,8 @@ mod tests {
     #[test]
     fn multiline_strings_stay_closed() {
         let src = "let s = \"line one\nstill string .unwrap()\nend\"; code();";
-        let f = clean_source(src);
-        assert!(!f.text.contains("unwrap"));
-        assert!(f.text.contains("code()"));
+        let text = cleaned(src);
+        assert!(!text.contains("unwrap"));
+        assert!(text.contains("code()"));
     }
 }

@@ -19,7 +19,8 @@
 //! don't churn the committed file.
 //!
 //! `--json --baseline F` composes: the export goes to stdout, the diff
-//! to stderr, and regressions still fail the exit code.
+//! and the allowlist verdict to stderr, and both still fail the exit
+//! code.
 //!
 //! Exit codes: 0 clean, 1 violations/stale/forbidden entries or baseline
 //! regressions, 2 usage or I/O errors.
@@ -407,53 +408,49 @@ fn main() -> ExitCode {
 
     if opts.json {
         println!("{}", export(&report, &allow));
-        if let Some(baseline) = &opts.baseline {
-            match run_baseline_diff(baseline, &report, &allow, true) {
-                Ok(true) => return ExitCode::FAILURE,
-                Ok(false) => {}
-                Err(code) => return code,
+    } else {
+        if opts.list {
+            for l in &report.findings {
+                println!(
+                    "{}:{}:{}: [{}] {}",
+                    l.path,
+                    l.finding.line,
+                    l.finding.col,
+                    l.finding.rule.id(),
+                    l.finding.message
+                );
             }
         }
-        return ExitCode::SUCCESS;
-    }
-
-    if opts.list {
-        for l in &report.findings {
+        println!(
+            "simlint: scanned {} files; findings by rule:",
+            report.files_scanned
+        );
+        for rule in Rule::ALL {
             println!(
-                "{}:{}:{}: [{}] {}",
-                l.path,
-                l.finding.line,
-                l.finding.col,
-                l.finding.rule.id(),
-                l.finding.message
+                "  {:<28} {:>4} found / {:>4} allowed",
+                rule.id(),
+                report.total(rule),
+                allow.total(rule)
             );
         }
     }
 
-    let verdict = simlint::check(&report, &allow);
-    println!(
-        "simlint: scanned {} files; findings by rule:",
-        report.files_scanned
-    );
-    for rule in Rule::ALL {
-        println!(
-            "  {:<28} {:>4} found / {:>4} allowed",
-            rule.id(),
-            report.total(rule),
-            allow.total(rule)
-        );
-    }
-
     let mut failed = false;
     if let Some(baseline) = &opts.baseline {
-        match run_baseline_diff(baseline, &report, &allow, false) {
+        match run_baseline_diff(baseline, &report, &allow, opts.json) {
             Ok(regressed) => failed = regressed,
             Err(code) => return code,
         }
     }
 
+    let verdict = simlint::check(&report, &allow);
     if verdict.ok() && !failed {
-        println!("simlint: clean (all findings within the burn-down allowlist)");
+        let clean = "simlint: clean (all findings within the burn-down allowlist)";
+        if opts.json {
+            eprintln!("{clean}");
+        } else {
+            println!("{clean}");
+        }
         return ExitCode::SUCCESS;
     }
     for v in &verdict.violations {

@@ -7,9 +7,9 @@
 //! a call in `ooc` to `oocfs::transform::run` and the definition in
 //! `crates/fs/src/transform.rs` meet at the same key.
 
-use crate::ast::{self, File, FnDef, Item, ItemKind, Param, TyInfo, UseEntry};
+use crate::ast::{File, FnDef, Item, ItemKind, Param, TyInfo, UseEntry};
 use crate::lexer::CleanFile;
-use crate::parser::{self, Span};
+use crate::parser::Span;
 use std::collections::BTreeMap;
 
 /// Maps a crate's import name (as written in `use` paths) to its
@@ -64,21 +64,27 @@ pub struct FileAst {
 }
 
 impl FileAst {
-    /// Parses one cleaned file into its AST + import map.
-    pub fn parse(path: &str, krate: &str, clean: &CleanFile) -> FileAst {
-        let trees = parser::parse_trees(clean);
-        let file = ast::parse_file(&trees);
+    /// Wraps one file's cleaned lines and parsed AST (the same ones the
+    /// per-file rules consumed) with its module path and import map.
+    pub fn new(path: &str, krate: &str, clean: &CleanFile, ast: File) -> FileAst {
         let module = module_path(path, krate);
         let mut uses = BTreeMap::new();
-        collect_uses(&file.items, krate, &module, &mut uses);
+        collect_uses(&ast.items, krate, &module, &mut uses);
         FileAst {
             path: path.to_string(),
             krate: krate.to_string(),
             module,
-            ast: file,
+            ast,
             in_test: clean.lines.iter().map(|l| l.in_test).collect(),
             uses,
         }
+    }
+
+    /// Parses one cleaned file from scratch (unit-test shorthand).
+    #[cfg(test)]
+    pub(crate) fn parse(path: &str, krate: &str, clean: &CleanFile) -> FileAst {
+        let file = crate::ast::parse_file(&crate::parser::parse_trees(clean));
+        FileAst::new(path, krate, clean, file)
     }
 
     /// Is the 1-based line inside a `#[cfg(test)]` region?

@@ -6,22 +6,22 @@
 //!    files each trigger specific rules. The scanner must find exactly
 //!    the planted violations — no more (negative cases: test code,
 //!    comments, strings, word boundaries, out-of-scope crates).
-//! 2. **Engine comparison**: the core fixture plants violations the
-//!    legacy per-line engine provably misses (multiline tokens, aliased
-//!    imports, cross-function dataflow, cross-crate unit contracts);
-//!    the AST engine and the semantic passes must catch every one.
+//! 2. **Structural cases**: the core fixture plants violations that
+//!    only the AST and the semantic passes can see (multiline tokens,
+//!    aliased imports, cross-function dataflow, cross-crate unit
+//!    contracts); every one must be caught.
 //! 3. **Gate behaviour**: the `simlint` binary must exit nonzero on the
-//!    fixture corpus and clean on the real workspace.
+//!    fixture corpus, with and without `--json`, and clean on the real
+//!    workspace.
 //! 4. **Ratchet**: `simlint.allow` may only burn down — totals are
 //!    pinned strictly below the seed baselines, strict-crate `no_panic`
 //!    entries are rejected outright, and the semantic passes carry no
 //!    budget at all.
 
 use simlint::allow::Allowlist;
-use simlint::lexer::clean_source;
-use simlint::rules::{self, Rule};
+use simlint::rules::Rule;
 use simlint::{
-    check, rules_for, scan_source, scan_workspace, source_crate, STRICT_LET_UNDERSCORE_CRATES,
+    check, scan_source, scan_workspace, source_crate, STRICT_LET_UNDERSCORE_CRATES,
     STRICT_NO_PANIC_CRATES, STRICT_NO_PRINTLN_CRATES,
 };
 use std::path::{Path, PathBuf};
@@ -126,9 +126,9 @@ fn fixture_corpus_triggers_every_rule_exactly() {
             .get(&(Rule::ThreadSpawn, "crates/ooc/src/lib.rs".into())),
         Some(&1)
     );
-    // AST-only classics (core fixture): the multiline `.unwrap\n()` and
-    // the `use`-aliased spawn — each invisible to the per-line engine
-    // (see `semantic_fixture_is_invisible_to_the_legacy_engine`).
+    // Structural classics (core fixture): the multiline `.unwrap\n()`
+    // and the `use`-aliased spawn (see
+    // `core_fixture_needs_the_ast_and_the_semantic_passes`).
     assert_eq!(
         report
             .counts
@@ -261,13 +261,27 @@ fn fixture_corpus_fails_the_gate() {
     );
     assert!(verdict.stale.is_empty() && verdict.forbidden.is_empty());
 
-    // Binary level: the gate must exit nonzero on the corpus.
-    let status = Command::new(env!("CARGO_BIN_EXE_simlint"))
-        .args(["--root"])
-        .arg(fixture_root())
-        .status()
-        .expect("run simlint binary");
-    assert_eq!(status.code(), Some(1), "gate must fail on the fixtures");
+    // Binary level: the gate must exit nonzero on the corpus, and the
+    // JSON export must carry the same verdict.
+    for json in [false, true] {
+        let output = Command::new(env!("CARGO_BIN_EXE_simlint"))
+            .args(["--root"])
+            .arg(fixture_root())
+            .args(json.then_some("--json"))
+            .output()
+            .expect("run simlint binary");
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "gate must fail on the fixtures (--json: {json})"
+        );
+        // The verdict goes to stderr: stdout stays the bare export.
+        if json {
+            assert!(output
+                .stdout
+                .starts_with(b"{\"format\":\"oocnvm.simlint/3\""));
+        }
+    }
 }
 
 #[test]
@@ -423,35 +437,13 @@ fn allowlist_totals_stay_below_seed_baselines() {
     );
 }
 
-/// The core fixture plants violations structured so the legacy per-line
-/// engine — run under the same rule scoping — sees an entirely clean
-/// file, while the AST engine and the semantic passes catch all nine.
-/// This is the regression test for why simlint grew an AST.
+/// The core fixture plants nine violations that a per-line text scan
+/// cannot see: the AST engine and the semantic passes must catch all
+/// of them.
 #[test]
-fn semantic_fixture_is_invisible_to_the_legacy_engine() {
+fn core_fixture_needs_the_ast_and_the_semantic_passes() {
     let path = "crates/core/src/lib.rs";
     let source = std::fs::read_to_string(fixture_root().join(path)).expect("core fixture");
-    let clean = clean_source(&source);
-
-    // Legacy engine, same scope (core: no wall_clock / bare_cast): zero.
-    let mut legacy = Vec::new();
-    for rule in rules_for(path) {
-        legacy.extend(match rule {
-            Rule::NoPanic => rules::no_panic(&clean),
-            Rule::NondeterministicCollection => rules::nondeterministic_collection(&clean),
-            Rule::EnumWildcard => rules::enum_wildcard(&clean),
-            Rule::LetUnderscoreResult => rules::let_underscore_result(&clean),
-            Rule::NoPrintlnInLib => rules::no_println_in_lib(&clean),
-            Rule::ThreadSpawn => rules::thread_spawn(&clean),
-            // The per-line engine has no dataflow: these rules simply
-            // do not exist there.
-            _ => Vec::new(),
-        });
-    }
-    assert!(
-        legacy.is_empty(),
-        "the per-line engine must stay blind to this file: {legacy:?}"
-    );
 
     // AST engine (per-file rules): the multiline unwrap and the aliased
     // spawn.

@@ -60,7 +60,12 @@
 #                       match the committed results/BENCH_tenants.json
 #                       byte-for-byte (docs/TENANCY.md; skipped with
 #                       --fast)
-#  13. oocbench build — the benchmark (its own workspace under
+#  13. study outputs  — the 13 study bins (fig1, fig6-fig10, table1,
+#                       table2, headline, scaling, energy,
+#                       cache_argument, ablations) must print exactly
+#                       their committed results/<bin>.txt (skipped with
+#                       --fast)
+#  14. oocbench build — the benchmark (its own workspace under
 #                       oocbench/) must build in release mode from the
 #                       committed oocbench/Cargo.lock with --locked: a
 #                       crate API change that breaks it, or a dependency
@@ -151,6 +156,17 @@ if [ "$fast" -eq 0 ]; then
 fi
 
 if [ "$fast" -eq 0 ]; then
+    step "study outputs (every study bin prints its committed results file)"
+    mkdir -p target/study
+    for bin in fig1 fig6 fig7 fig8 fig9 fig10 table1 table2 headline \
+        scaling energy cache_argument ablations; do
+        cargo run --release --quiet -p oocnvm-bench --bin "$bin" > "target/study/$bin.txt"
+        cmp "target/study/$bin.txt" "results/$bin.txt" || {
+            echo "check.sh: $bin output differs from results/$bin.txt" >&2
+            exit 1
+        }
+    done
+
     step "oocbench build (benchmark compiles against the locked lockfile)"
     cargo build --release --offline --locked --quiet --manifest-path oocbench/Cargo.toml
 fi

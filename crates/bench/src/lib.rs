@@ -16,9 +16,6 @@
 //! | `headline` | §7's headline ratios (108% / 52% / 250% / 10.3x) |
 //! | `calibrate`| the full sweep in one table (development aid) |
 //! | `bench`    | the pinned perf scenario vs `results/BENCH_core.json` |
-//!
-//! Criterion benches (`cargo bench -p oocnvm-bench`) time the simulator
-//! and solver themselves and run the ablations DESIGN.md calls out.
 use nvmtypes::MIB;
 use oocnvm_core::workload::synthetic_ooc_trace;
 use ooctrace::PosixTrace;

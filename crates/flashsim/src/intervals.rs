@@ -1,9 +1,8 @@
-//! Half-open time-interval utilities used by the utilization accounting.
+//! Reference sort-and-merge interval arithmetic: the test oracle for the
+//! one-sweep busy unions of [`crate::stats::RawStats::finalize`].
 
+use crate::stats::Interval;
 use nvmtypes::Nanos;
-
-/// A half-open busy interval `[start, end)`.
-pub type Interval = (Nanos, Nanos);
 
 /// Sorts and merges overlapping/adjacent intervals in place, returning the
 /// merged set (ascending, disjoint).

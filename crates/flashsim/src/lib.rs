@@ -35,9 +35,11 @@
 //! * channel contention (waiting on a busy bus),
 //! * cell activation (the read/program/erase itself),
 //!
-//! and records per-die busy intervals from which channel-level and
-//! package-level utilization (Figure 9) and the "bandwidth remaining"
-//! headroom metric (Figures 7b/8b) are computed.
+//! and records one busy interval per die-op. [`stats::RawStats::finalize`]
+//! sorts them once and, in one sweep, derives channel- and package-level
+//! utilization (Figure 9), the die busy total and the host-DMA time no die
+//! overlapped. Cell time gives the "bandwidth remaining" headroom metric
+//! (Figures 7b/8b).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +48,8 @@ pub mod config;
 pub mod energy;
 pub mod engine;
 pub mod fault;
-pub mod intervals;
+#[cfg(test)]
+mod intervals;
 pub mod op;
 pub mod stats;
 

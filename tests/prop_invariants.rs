@@ -261,18 +261,23 @@ proptest! {
 
     #[test]
     fn interval_union_bounds(
-        iv in prop::collection::vec((0u64..1000, 1u64..100), 0..30),
+        iv in prop::collection::vec((0u32..8, 0u64..1000, 1u64..100), 0..30),
     ) {
-        use flashsim::intervals::{merge, union_len};
-        let intervals: Vec<(u64, u64)> = iv.iter().map(|&(s, l)| (s, s + l)).collect();
-        let sum: u64 = intervals.iter().map(|&(s, e)| e - s).sum();
-        let union = union_len(intervals.clone());
-        prop_assert!(union <= sum);
-        let merged = merge(intervals);
-        // Merged intervals are sorted and disjoint.
-        for w in merged.windows(2) {
-            prop_assert!(w[0].1 < w[1].0);
-        }
+        // The busy union lies between the longest interval and the sum of
+        // all of them, and inside their hull.
+        let cfg = flashsim::MediaConfig::tiny(NvmKind::Tlc, BusTiming { name: "t", bytes_per_ns: 0.4 });
+        let intervals: Vec<(u32, u64, u64)> = iv.iter().map(|&(d, s, l)| (d, s, s + l)).collect();
+        let sum: u64 = intervals.iter().map(|&(_, s, e)| e - s).sum();
+        let longest = intervals.iter().map(|&(_, s, e)| e - s).max().unwrap_or(0);
+        let first = intervals.iter().map(|&(_, s, _)| s).min().unwrap_or(0);
+        let last = intervals.iter().map(|&(_, _, e)| e).max().unwrap_or(0);
+        let stats = flashsim::stats::RawStats { die_intervals: intervals, ..Default::default() };
+        let (rep, idle) = stats.finalize(&cfg, last, 0, &[]);
+        prop_assert!(longest <= rep.active_span && rep.active_span <= sum);
+        prop_assert!(rep.active_span <= last - first);
+        prop_assert!((0.0..=1.0).contains(&rep.channel_util));
+        prop_assert!((0.0..=1.0).contains(&rep.package_util));
+        prop_assert_eq!(idle, 0);
     }
 }
 
